@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -307,9 +308,18 @@ def cmd_check(args) -> int:
 # ============================================================
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a numeric tuple starting with "-" ("-2,0,0") as a value, not an
+    option; argparse's own negative-number test knows only "-2" or "-.5"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,]*$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="heistri",
-                                  description="Heisenberg group grids, simplexes, and triangulations")
+    top = _Parser(prog="heistri",
+                  description="Heisenberg group grids, simplexes, and triangulations")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, eps=True):

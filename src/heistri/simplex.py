@@ -139,7 +139,9 @@ class SimplexDescriptor:
     """Identity of a singular simplex: builder tag plus ordered vertices.
 
     Equality is exact tuple equality of the vertex coordinates; no
-    tolerance is applied anywhere in chain arithmetic.
+    tolerance is applied anywhere in chain arithmetic.  The hash is
+    computed once, on first use, from the builder tag, the coordinate
+    tuples and n; it is process-local, so pickling drops it.
     """
 
     builder: Builder
@@ -152,6 +154,19 @@ class SimplexDescriptor:
         for v in self.vertices:
             if v.n != self.n:
                 raise ValueError("group index mismatch")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.builder.value, tuple(v.w for v in self.vertices), self.n))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def k(self) -> int:
@@ -407,7 +422,7 @@ class Chain:
         self.n = n
         clean: Dict[SimplexDescriptor, int] = {}
         for desc, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:  # bool is an int subclass; JSON would write true
                 raise ValueError("chain coefficients must be integers")
             if coeff == 0:
                 continue
@@ -451,7 +466,7 @@ class Chain:
         return self + (-other)
 
     def scale(self, c: int) -> "Chain":
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise ValueError("chain coefficients must be integers")
         return Chain(self.k, self.n, {d: c * v for d, v in self.terms.items()})
 
@@ -501,11 +516,19 @@ def chain_to_json(chain: Chain, extra: Optional[dict] = None) -> dict:
 
 
 def chain_from_json(doc: dict) -> Chain:
+    """Parse a chain document; a non-integer coeff or a vertex count other
+    than k+1 is a ValueError naming the term index."""
     k = int(doc["k"])
     n = int(doc["n"])
     terms: Dict[SimplexDescriptor, int] = {}
-    for term in doc["terms"]:
+    for index, term in enumerate(doc["terms"]):
+        coeff = term["coeff"]
+        if type(coeff) is not int:
+            raise ValueError(f"term {index}: coeff must be an integer, got {coeff!r}")
+        if len(term["vertices"]) != k + 1:
+            raise ValueError(f"term {index}: a {k}-chain term needs {k + 1} vertices, "
+                             f"got {len(term['vertices'])}")
         verts = tuple(HPoint(n, tuple(float(c) for c in v)) for v in term["vertices"])
         desc = SimplexDescriptor(Builder(term["builder"]), verts, n)
-        terms[desc] = terms.get(desc, 0) + int(term["coeff"])
+        terms[desc] = terms.get(desc, 0) + coeff
     return Chain(k, n, terms)

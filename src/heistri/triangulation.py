@@ -4,8 +4,10 @@ A k-cube with corners indexed by {0,1}^k is cut into k! simplexes, one per
 maximal strictly increasing chain from the all-zeros string to the
 all-ones string (each step raises exactly one coordinate, so chains
 correspond to permutations of the axes).  The chain of the triangulation
-weights each simplex by the sign of the integer determinant of its vertex
-difference rows.
+weights each simplex by the sign of the determinant of its vertex
+difference rows, which is the parity of that permutation.  The k! chains
+and their signs (the Freudenthal/Kuhn triangulation) are the same for
+every cube and are computed once per k.
 
 Exact cancellation is the load-bearing property: both the interior faces
 of one cube and the shared faces of adjacent grid cubes must cancel in
@@ -18,10 +20,9 @@ needed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,7 +48,6 @@ __all__ = [
     "boundary_of_triangulation",
     "triangulate_region",
     "export_mesh",
-    "thread_count",
 ]
 
 Bits = Tuple[int, ...]
@@ -76,56 +76,32 @@ class IncreasingMap:
                 raise ValueError("consecutive strings must raise exactly one bit")
 
 
-def increasing_maps(k: int) -> List[IncreasingMap]:
-    """All k! maximal chains, sorted lexicographically by their sequences."""
+@functools.lru_cache(maxsize=None)
+def _kuhn_maps(k: int) -> Tuple[Tuple[IncreasingMap, int], ...]:
+    """The k! (increasing map, orientation sign) pairs, in increasing_maps order."""
     if k < 0:
         raise ValueError("dimension must be >= 0")
-    if k == 0:
-        return [IncreasingMap(0, ((),))]
-    out = []
-    for perm in itertools.permutations(range(k)):
-        cur = [0] * k
-        seq = [tuple(cur)]
-        for axis in perm:
-            cur[axis] = 1
-            seq.append(tuple(cur))
-        out.append(IncreasingMap(k, tuple(seq)))
-    out.sort(key=lambda m: m.seq)
-    return out
+    maps = [IncreasingMap(k, tuple(tuple(int(axis in perm[:i]) for axis in range(k))
+                                   for i in range(k + 1)))
+            for perm in itertools.permutations(range(k))]
+    return tuple((m, orientation_sign(m)) for m in sorted(maps, key=lambda m: m.seq))
 
 
-def _int_det(rows: List[List[int]]) -> int:
-    """Bareiss fraction-free determinant over the integers."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for col in range(size - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, size):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[size - 1][size - 1]
+def increasing_maps(k: int) -> List[IncreasingMap]:
+    """All k! maximal chains, sorted lexicographically by their sequences."""
+    return [m for m, _ in _kuhn_maps(k)]
 
 
 def orientation_sign(s: IncreasingMap) -> int:
-    """Sign of det of the rows s(i) - s(0); equals the step permutation parity."""
-    if s.k == 0:
-        return 1
-    rows = [[b - a for a, b in zip(s.seq[0], s.seq[i])] for i in range(1, s.k + 1)]
-    det = _int_det(rows)
-    if det == 0:
-        raise ValueError("degenerate increasing map")
-    return 1 if det > 0 else -1
+    """Sign of det of the rows s(i) - s(0).
+
+    Row i is the sum of the unit vectors of the first i raised axes, so
+    subtracting each row from the next leaves a permutation matrix: the
+    sign is the parity of the axis-raising order (by inversion count).
+    """
+    order = [next(i for i in range(s.k) if b[i] != a[i]) for a, b in zip(s.seq, s.seq[1:])]
+    inversions = sum(1 for i, x in enumerate(order) for y in order[i + 1:] if x > y)
+    return -1 if inversions % 2 else 1
 
 
 # ============================================================
@@ -154,11 +130,7 @@ class CornerAssignment:
                 raise ValueError("group index mismatch")
 
     def corner(self, bits: Bits) -> HPoint:
-        bits = tuple(int(b) for b in bits)
-        for key, p in self.corners:
-            if key == bits:
-                return p
-        raise KeyError(bits)
+        return dict(self.corners)[tuple(int(b) for b in bits)]
 
     @classmethod
     def axis_aligned(cls, n: int, base: Sequence[int], eps: float,
@@ -205,11 +177,11 @@ def triangulate_cube(corners: CornerAssignment, builder: Builder) -> Triangulati
     k = corners.k
     if builder is Builder.HYBRID and k > 2 * corners.n + 1:
         raise ValueError("dimension exceeds 2n+1")
+    point = dict(corners.corners)
     terms: Dict[SimplexDescriptor, int] = {}
-    for s in increasing_maps(k):
-        verts = tuple(corners.corner(bits) for bits in s.seq)
-        desc = SimplexDescriptor(builder, verts, corners.n)
-        terms[desc] = terms.get(desc, 0) + orientation_sign(s)
+    for s, sign in _kuhn_maps(k):
+        desc = SimplexDescriptor(builder, tuple(point[bits] for bits in s.seq), corners.n)
+        terms[desc] = terms.get(desc, 0) + sign
     chain = Chain(k, corners.n, terms)
     return TriangulationChain(chain, {"kind": "cube", "k": k}, builder)
 
@@ -218,40 +190,24 @@ def boundary_of_triangulation(t: TriangulationChain) -> Chain:
     return boundary(t.chain)
 
 
-def thread_count() -> int:
-    """Worker cap from HEISTRI_THREADS (>=1; unset or invalid means 1)."""
-    raw = os.environ.get("HEISTRI_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def triangulate_region(n: int, eps: float, lo: Sequence[int], hi: Sequence[int],
                        builder: Builder) -> TriangulationChain:
     """Sum of cube triangulations over the integer box [lo, hi).
 
-    Shared faces of adjacent cubes carry bit-identical vertex tuples, so
-    their boundary terms cancel exactly regardless of the merge order;
-    parallel merging is therefore safe and the output deterministic.
+    Every cube's terms are added into one dict and a single Chain is built
+    at the end, so the merge is linear in the number of terms.  Shared
+    faces of adjacent cubes carry bit-identical vertex tuples, so their
+    boundary terms cancel exactly, and the result does not depend on the
+    order of the cubes.
     """
     builder = Builder(builder)
     cubes = grid_cover(n, eps, lo, hi)
-    k = 2 * n + 1
-
-    def one(cube: Cube) -> Chain:
-        return triangulate_cube(CornerAssignment.from_cube(cube), builder).chain
-
-    workers = thread_count()
-    if workers > 1 and len(cubes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, cubes))
-    else:
-        parts = [one(cube) for cube in cubes]
-
-    total = Chain(k, n)
-    for part in parts:
-        total = total + part
+    terms: Dict[SimplexDescriptor, int] = {}
+    for cube in cubes:
+        part = triangulate_cube(CornerAssignment.from_cube(cube), builder).chain
+        for desc, coeff in part.terms.items():
+            terms[desc] = terms.get(desc, 0) + coeff
+    total = Chain(2 * n + 1, n, terms)
     prov = {"kind": "region", "eps": eps, "lo": [int(v) for v in lo],
             "hi": [int(v) for v in hi], "cubes": len(cubes)}
     return TriangulationChain(total, prov, builder)
@@ -270,34 +226,28 @@ def _as_chain(t: Union[TriangulationChain, Chain]) -> Tuple[Chain, Optional[dict
 
 def _triangle_lattice(s: int):
     """Sub-triangles of a barycentric triangle refined s times per edge."""
-    verts = {}
+    points = [(i, j) for i in range(s + 1) for j in range(s + 1 - i)]
+    vid = {p: idx for idx, p in enumerate(points)}
     tris = []
-    def vid(i, j):
-        key = (i, j)
-        if key not in verts:
-            verts[key] = len(verts)
-        return verts[key]
-    for i in range(s + 1):
-        for j in range(s + 1 - i):
-            vid(i, j)
     for i in range(s):
         for j in range(s - i):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
+            tris.append((vid[i, j], vid[i + 1, j], vid[i, j + 1]))
             if i + j <= s - 2:
-                tris.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    coords = sorted(verts.items(), key=lambda kv: kv[1])
-    bary = [((s - i - j) / s, i / s, j / s) for (i, j), _ in coords]
+                tris.append((vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]))
+    bary = [((s - i - j) / s, i / s, j / s) for i, j in points]
     return bary, tris
 
 
 def _sampled_cells(chain: Chain, samples: int, dim: int):
     """Yield (coeff, vertex coordinate tuples) per output cell, deterministically."""
+    refine = dim == 2 and samples > 1
+    if refine:
+        bary, tris = _triangle_lattice(samples)
     for desc, coeff in chain.items_sorted():
         m = build_map(desc)
         for cell in m.cells:
             imgs = [p.w for p in cell.images]
-            if dim == 2 and samples > 1:
-                bary, tris = _triangle_lattice(samples)
+            if refine:
                 pts = [tuple(sum(b[i] * imgs[i][c] for i in range(3))
                              for c in range(len(imgs[0]))) for b in bary]
                 for tri in tris:

@@ -9,6 +9,7 @@ entry-point test checks that the `heistri` console script declared in
 pyproject.toml maps to heistri.cli.main.
 """
 
+import hashlib
 import importlib
 import io
 import json
@@ -130,12 +131,29 @@ class TestTriangulate:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEISTRI_THREADS", "1")
-        _, serial, _ = run_cli(capsys, "triangulate", "--box", "0,0,0", "2,2,2")
-        monkeypatch.setenv("HEISTRI_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, "triangulate", "--box", "0,0,0", "2,2,2")
-        assert serial == threaded
+    def test_box_corners_with_leading_minus(self, capsys):
+        doc = run_json(capsys, "triangulate", "--box", "-2,-3,-1", "3,2,4")
+        assert len(doc["terms"]) == 5 ** 3 * 6
+        assert doc["provenance"]["lo"] == [-2, -3, -1]
+        assert doc["provenance"]["hi"] == [3, 2, 4]
+
+    def test_cube_base_with_leading_minus(self, capsys):
+        rc, spaced, err = run_cli(capsys, "triangulate", "--cube", "-2,0,0")
+        assert rc == 0 and err == ""
+        assert json.loads(spaced)["provenance"]["base"] == [-2, 0, 0]
+        _, joined, _ = run_cli(capsys, "triangulate", "--cube=-2,0,0")
+        assert spaced == joined
+
+    def test_unknown_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["triangulate", "--cube", "0,0,0", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_negative_tuple_without_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["triangulate", "--cube", "0,0,0", "-1,0,0"])
+        assert exc.value.code == 2
 
 
 # ============================================================
@@ -174,6 +192,26 @@ class TestBoundary:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
         bdoc = run_json(capsys, "boundary", "-")
         assert len(bdoc["terms"]) == 12
+
+    @pytest.mark.parametrize("coeff", [1.5, True, "1", None, 1.0])
+    def test_non_integer_coeff_rejected(self, capsys, monkeypatch, coeff):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        doc["terms"][3]["coeff"] = coeff
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "boundary", "-")
+        assert rc == 2
+        assert out == ""
+        assert "term 3: coeff must be an integer" in err
+
+    def test_wrong_vertex_count_rejected(self, capsys, monkeypatch):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        doc["terms"][4]["vertices"].pop()
+        doc["terms"][4]["coeff"] = 0  # a zero term must not hide the error
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "boundary", "-")
+        assert rc == 2
+        assert out == ""
+        assert "term 4:" in err and "needs 4 vertices, got 3" in err
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -350,6 +388,13 @@ class TestHpath:
         assert doc["n"] == 2
         assert doc["segments"] == 1
 
+    def test_endpoints_with_leading_minus(self, capsys):
+        doc = run_json(capsys, "hpath", "--from", "-1,0,0", "--to", "0,0,1")
+        assert doc["endpoints"][0]["w"] == [-1.0, 0.0, 0.0]
+        doc = run_json(capsys, "hpath", "--from", "0,0,0", "--to", "-1,0,0")
+        assert doc["endpoints"][1]["w"] == [-1.0, 0.0, 0.0]
+        assert doc["segments"] == 1
+
     def test_wrong_coordinate_count(self, capsys):
         rc, out, err = run_cli(capsys, "hpath", "--from", "0,0", "--to", "0,0,1")
         assert rc == 2
@@ -396,6 +441,12 @@ class TestSimplex:
     def test_vertex_arity_validation(self, capsys):
         rc, out, err = run_cli(capsys, "simplex", "--vertices", "0,0", "1,0,0")
         assert rc == 2
+
+    def test_vertices_with_leading_minus(self, capsys):
+        doc = run_json(capsys, "simplex", "--vertices", "0,0,0", "-1,0,0")
+        assert doc["terms"][0]["vertices"] == [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+        doc = run_json(capsys, "simplex", "--vertices", "-1,0,0", "1,0,0")
+        assert doc["terms"][0]["vertices"] == [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 # ============================================================
@@ -486,6 +537,44 @@ class TestExport:
         with pytest.raises(SystemExit) as exc:
             cli_main(["export", path, "--format", "stl"])
         assert exc.value.code == 2
+
+
+# ============================================================
+# golden bytes
+# ============================================================
+
+
+class TestGoldenBytes:
+    """sha256 of CLI outputs; any change to chain order, float formatting,
+    the merge or the export shows up here."""
+
+    @staticmethod
+    def output(capsys, *argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0 and err == ""
+        return out
+
+    @staticmethod
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_n1_box_boundary_and_obj(self, capsys, monkeypatch):
+        chain = self.output(capsys, "triangulate", "--box", "0,0,0", "3,3,3")
+        assert self.sha(chain) == "2108f5f44e6b40f79161a35735ba5ad4573003315c8065c64a21ba98b128c749"
+        monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+        bnd = self.output(capsys, "boundary", "-")
+        assert self.sha(bnd) == "8d160b59b6215bb9e4bc65fda930e3b4e8078093a914c1f574b49983f1309a69"
+        monkeypatch.setattr("sys.stdin", io.StringIO(bnd))
+        obj = self.output(capsys, "export", "-", "--format", "obj", "--samples", "2")
+        assert self.sha(obj) == "3bc5c4b0d1f6edf0ff97c2d9b3077614ef54f20f92d7e3c47e3d17c0056eb4dd"
+
+    def test_n2_hybrid_box_and_boundary(self, capsys, monkeypatch):
+        chain = self.output(capsys, "triangulate", "--n", "2", "--eps", "0.5",
+                            "--box", "0,-1,0,0,-1", "2,1,2,2,1", "--builder", "hybrid")
+        assert self.sha(chain) == "d8ca11d6af18307ae8a968b7bd7aa22a464a43c6ef94db0b0ea2dae8c6466a44"
+        monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+        bnd = self.output(capsys, "boundary", "-")
+        assert self.sha(bnd) == "2b9af35d9a89922d75319ebc87df48bf04cb745ea2ecf260dc7c1c043072d061"
 
 
 # ============================================================

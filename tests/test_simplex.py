@@ -392,6 +392,10 @@ class TestChain:
         desc = SimplexDescriptor(Builder.AFFINE, (p,), 1)
         with pytest.raises(ValueError):
             Chain(0, 1, {desc: 1.5})
+        with pytest.raises(ValueError):
+            Chain(0, 1, {desc: True})
+        with pytest.raises(ValueError):
+            simplex_chain(desc).scale(True)
 
     def test_descriptor_equality_is_exact(self):
         a = HPoint(1, (0.1 + 0.2, 0.0, 0.0))  # 0.30000000000000004
@@ -404,6 +408,32 @@ class TestChain:
     def test_builder_tag_distinguishes(self):
         p = (HPoint(1, (0.0, 0.0, 0.0)), HPoint(1, (1.0, 0.0, 0.0)))
         assert SimplexDescriptor(Builder.STRAIGHT, p, 1) != SimplexDescriptor(Builder.AFFINE, p, 1)
+
+    def test_independent_descriptors_equal_hash_and_cancel(self):
+        def simplex(*corners):
+            # fresh HPoint and tuple objects on every call
+            return SimplexDescriptor(Builder.STRAIGHT,
+                                     tuple(HPoint(1, tuple(float(c) for c in v)) for v in corners), 1)
+
+        a, b = simplex((0, 0, 0), (1, 0, 0), (1, 1, 0)), simplex((0, 0, 0), (1, 0, 0), (1, 1, 0))
+        assert a is not b and a.vertices[0] is not b.vertices[0]
+        assert a == b and hash(a) == hash(b) == hash(a)
+        assert (simplex_chain(a) - simplex_chain(b)).is_zero()
+        # two triangles of the unit square, built separately: the diagonal
+        # edge they share cancels exactly in the boundary
+        square = simplex_chain(a) + simplex_chain(simplex((0, 0, 0), (1, 1, 0), (0, 1, 0)))
+        bnd = boundary(square)
+        assert len(bnd) == 4
+        assert bnd.coeff(simplex((0, 0, 0), (1, 1, 0))) == 0
+
+    def test_pickled_descriptor_rehashes(self):
+        import pickle
+
+        d = SimplexDescriptor(Builder.HYBRID, (HPoint(1, (0.0, 1.0, 2.0)),), 1)
+        hash(d)
+        back = pickle.loads(pickle.dumps(d))
+        assert "_hash" not in back.__dict__
+        assert back == d and {d: 1}[back] == 1
 
 
 class TestChainJson:

@@ -9,13 +9,13 @@ determinant sign.
 
 import itertools
 import json
-import os
 
 import numpy as np
 import pytest
 
 from heistri import (
     Builder,
+    Chain,
     CornerAssignment,
     HPoint,
     IncreasingMap,
@@ -27,6 +27,7 @@ from heistri import (
     chain_from_json,
     dilate,
     export_mesh,
+    grid_cover,
     increasing_maps,
     orientation_sign,
     sample_barycentric,
@@ -34,7 +35,6 @@ from heistri import (
     triangulate_cube,
     triangulate_region,
 )
-from heistri.triangulation import thread_count
 
 # the two square chains and the six cube chains, keyed by their bit tables
 SQUARE_TABLE = {
@@ -137,6 +137,19 @@ class TestIncreasingMaps:
         a = [m.seq for m in increasing_maps(3)]
         b = [m.seq for m in increasing_maps(3)]
         assert a == b == sorted(a)
+
+    def test_returned_list_is_fresh(self):
+        maps = increasing_maps(3)
+        expected = list(maps)
+        maps.reverse()
+        maps.pop()
+        maps.append(IncreasingMap(1, ((0,), (1,))))
+        assert increasing_maps(3) == expected
+        assert increasing_maps(3) is not increasing_maps(3)
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            increasing_maps(-1)
 
     def test_chain_validation(self):
         with pytest.raises(ValueError):
@@ -372,36 +385,27 @@ class TestTriangulateRegion:
         assert r.provenance["kind"] == "region"
         assert r.provenance["cubes"] == 2
 
-    def test_thread_env_does_not_change_output(self):
-        old = os.environ.get("HEISTRI_THREADS")
-        try:
-            os.environ["HEISTRI_THREADS"] = "4"
-            a = triangulate_region(1, 1.0, (0, 0, 0), (2, 2, 1), Builder.STRAIGHT)
-            os.environ["HEISTRI_THREADS"] = "1"
-            b = triangulate_region(1, 1.0, (0, 0, 0), (2, 2, 1), Builder.STRAIGHT)
-        finally:
-            if old is None:
-                os.environ.pop("HEISTRI_THREADS", None)
-            else:
-                os.environ["HEISTRI_THREADS"] = old
-        assert a.chain == b.chain
+    @staticmethod
+    def folded(n, eps, lo, hi, builder):
+        """Reference merge: the left fold of the cube chains with Chain.__add__."""
+        total = Chain(2 * n + 1, n)
+        for cube in grid_cover(n, eps, lo, hi):
+            total = total + triangulate_cube(CornerAssignment.from_cube(cube), builder).chain
+        return total
 
-    def test_thread_count_parsing(self):
-        old = os.environ.get("HEISTRI_THREADS")
-        try:
-            os.environ["HEISTRI_THREADS"] = "3"
-            assert thread_count() == 3
-            os.environ["HEISTRI_THREADS"] = "junk"
-            assert thread_count() == 1
-            os.environ["HEISTRI_THREADS"] = "-2"
-            assert thread_count() == 1
-            os.environ.pop("HEISTRI_THREADS")
-            assert thread_count() == 1
-        finally:
-            if old is None:
-                os.environ.pop("HEISTRI_THREADS", None)
-            else:
-                os.environ["HEISTRI_THREADS"] = old
+    @pytest.mark.parametrize("builder", [Builder.AFFINE, Builder.STRAIGHT, Builder.HYBRID])
+    def test_merge_equals_left_fold_n1(self, builder):
+        args = (1, 0.5, (-1, 0, -2), (2, 2, 0), builder)
+        r = triangulate_region(*args)
+        assert len(r.chain) == 12 * 6
+        assert r.chain == self.folded(*args)
+        assert boundary(r.chain) == boundary(self.folded(*args))
+
+    def test_merge_equals_left_fold_n2(self):
+        args = (2, 1.0, (0, -1, 0, 0, -1), (2, 1, 2, 2, 1), Builder.STRAIGHT)
+        r = triangulate_region(*args)
+        assert len(r.chain) == 32 * 120
+        assert r.chain == self.folded(*args)
 
 
 # ============================================================
