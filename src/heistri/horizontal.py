@@ -28,19 +28,16 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import HPoint, inv, mul, origin
 from .simplex import (
-    Barycentric,
     Builder,
-    PLCell,
     PLMap,
     SimplexDescriptor,
     affine_simplex,
-    barycenter,
-    barycentric_vertex,
     cone_cells,
-    face_map,
-    sample_barycentric,
+    sample_weights,
     straight_simplex,
 )
 
@@ -145,14 +142,11 @@ def horizontal_path(p: HPoint, q: HPoint) -> PLMap:
     else:
         acc = list(itertools.accumulate(lengths))
         breaks = [0.0] + [a / total for a in acc[:-1]] + [1.0]
-    cells = []
-    for i in range(m):
-        u0, u1 = breaks[i], breaks[i + 1]
-        dom = (Barycentric(1, (1.0 - u0, u0)), Barycentric(1, (1.0 - u1, u1)))
-        cells.append(PLCell(dom, (pts[i], pts[i + 1])))
+    domain = np.array([((1.0 - u0, u0), (1.0 - u1, u1)) for u0, u1 in zip(breaks, breaks[1:])])
+    images = np.array([(a.w, b.w) for a, b in zip(pts, pts[1:])])
     desc = SimplexDescriptor(Builder.HORIZONTAL_PATH, (p, q), n)
     worst = max(abs(segment_residual(a, b)) for a, b in zip(pts, pts[1:]))
-    return PLMap(1, n, cells, desc, {"segments": m, "max_residual": worst})
+    return PLMap(1, n, domain, images, desc, {"segments": m, "max_residual": worst})
 
 
 def exp_center_of_gravity(points: Sequence[HPoint]) -> HPoint:
@@ -187,27 +181,35 @@ def cone_to_apex(base: PLMap, apex: HPoint) -> PLMap:
     if base.n != apex.n:
         raise ValueError("group index mismatch")
     k = base.k + 1
-    cells = cone_cells(base.cells, k, face_map(k, k), barycentric_vertex(k, k), apex)
+    cells = cone_cells(base, k, np.eye(k + 1)[k], apex)
     desc = SimplexDescriptor(base.descriptor.builder,
                              base.descriptor.vertices + (apex,), base.n)
-    return PLMap(k, base.n, cells, desc, {"apex": apex})
+    return PLMap(k, base.n, *cells, desc, {"apex": apex})
 
 
 def _point_map(v: HPoint, builder: Builder) -> PLMap:
     desc = SimplexDescriptor(builder, (v,), v.n)
-    return PLMap(0, v.n, (PLCell((Barycentric(0, (1.0,)),), (v,)),), desc)
+    return PLMap(0, v.n, np.ones((1, 1, 1)), np.array([[v.w]]), desc)
 
 
-def hybrid_simplex(vertices: Sequence[HPoint]) -> PLMap:
+Faces = Dict[Tuple[HPoint, ...], PLMap]
+
+
+def hybrid_simplex(vertices: Sequence[HPoint], faces: Optional[Faces] = None) -> PLMap:
     """Simplex with horizontal 1-skeleton and straight upper layers.
 
     Pairs of vertices are joined by horizontal_path.  For k >= 2, all k+1
-    faces are built recursively (memoized per vertex subset), the apex
-    q is the exponential center of gravity of all k+1 vertices, and the
-    domain splits into k+1 sub-simplexes at the barycenter: face i is
-    embedded by the face inclusion and coned to the barycenter, whose
-    image is q.  Restricting the result to a facet therefore reproduces
-    the sub-simplex cells verbatim.
+    faces are built recursively, the apex q is the exponential center of
+    gravity of all k+1 vertices, and the domain splits into k+1
+    sub-simplexes at the barycenter: face i is embedded by the face
+    inclusion and coned to the barycenter, whose image is q.  Restricting
+    the result to a facet therefore reproduces the sub-simplex cells
+    verbatim.
+
+    Every map built, the result and each sub-face, is stored in `faces`
+    under its vertex tuple and taken from there when asked for again.
+    Callers that build many simplexes sharing faces (one chain) pass one
+    dict to all of them; without it, sharing is within this call only.
     """
     vertices = tuple(vertices)
     n = vertices[0].n
@@ -217,7 +219,7 @@ def hybrid_simplex(vertices: Sequence[HPoint]) -> PLMap:
     if len(vertices) - 1 > 2 * n + 1:
         raise ValueError("dimension exceeds 2n+1")
 
-    memo: Dict[Tuple[HPoint, ...], PLMap] = {}
+    memo = {} if faces is None else faces
 
     def build(vs: Tuple[HPoint, ...]) -> PLMap:
         got = memo.get(vs)
@@ -228,34 +230,36 @@ def hybrid_simplex(vertices: Sequence[HPoint]) -> PLMap:
             out = _point_map(vs[0], Builder.HYBRID)
         elif k == 1:
             path = horizontal_path(vs[0], vs[1])
-            out = PLMap(1, n, path.cells,
+            out = PLMap(1, n, path.domain, path.images,
                         SimplexDescriptor(Builder.HYBRID, vs, n), path.meta)
         else:
             q = exp_center_of_gravity(vs)
-            center = barycenter(k)
-            cells: List[PLCell] = []
-            piece_sizes = []
-            for i in range(k + 1):
-                face = build(vs[:i] + vs[i + 1 :])
-                coned = cone_cells(face.cells, k, face_map(k, i), center, q)
-                cells.extend(coned)
-                piece_sizes.append(len(coned))
-            out = PLMap(k, n, cells, SimplexDescriptor(Builder.HYBRID, vs, n),
-                        {"pieces": k + 1, "apex": q, "piece_sizes": tuple(piece_sizes)})
+            center = np.full(k + 1, 1.0 / (k + 1))
+            pieces = [cone_cells(build(vs[:i] + vs[i + 1 :]), i, center, q)
+                      for i in range(k + 1)]
+            out = PLMap(k, n, np.concatenate([dom for dom, _ in pieces]),
+                        np.concatenate([img for _, img in pieces]),
+                        SimplexDescriptor(Builder.HYBRID, vs, n),
+                        {"pieces": k + 1, "apex": q,
+                         "piece_sizes": tuple(len(dom) for dom, _ in pieces)})
         memo[vs] = out
         return out
 
     return build(vertices)
 
 
-def build_map(desc: SimplexDescriptor) -> PLMap:
-    """Materialize the PLMap a descriptor stands for."""
+def build_map(desc: SimplexDescriptor, faces: Optional[Faces] = None) -> PLMap:
+    """Materialize the PLMap a descriptor stands for.
+
+    Hybrid simplexes share `faces` as in hybrid_simplex; the other
+    builders do not use it.
+    """
     if desc.builder is Builder.AFFINE:
         return affine_simplex(desc.vertices)
     if desc.builder is Builder.STRAIGHT:
         return straight_simplex(desc.vertices)
     if desc.builder is Builder.HYBRID:
-        return hybrid_simplex(desc.vertices)
+        return hybrid_simplex(desc.vertices, faces)
     if desc.builder is Builder.HORIZONTAL_PATH:
         if desc.k == 0:
             return _point_map(desc.vertices[0], Builder.HORIZONTAL_PATH)
@@ -264,6 +268,17 @@ def build_map(desc: SimplexDescriptor) -> PLMap:
             m = cone_to_apex(m, apex)
         return m
     raise ValueError(f"unknown builder {desc.builder}")
+
+
+def _mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """core.mul on coordinate arrays (last axis), with the same arithmetic."""
+    a, b = np.broadcast_arrays(a, b)
+    out = a + b
+    s = 0.0
+    for j in range(n):
+        s = s + (a[..., j] * b[..., n + j] - a[..., n + j] * b[..., j])
+    out[..., 2 * n] += 0.5 * s
+    return out
 
 
 def cone_relation_residual(m: PLMap, apex: HPoint, samples: int = 4,
@@ -275,30 +290,23 @@ def cone_relation_residual(m: PLMap, apex: HPoint, samples: int = 4,
     points u of a cell and blend weights lam, the map value at
     (1-lam) u + lam apex must equal tau_q(exp((1-lam) log(tau_q^-1 value_at_u)))
     with q = apex.  Cell images are interpolated directly, so this checks
-    the stored geometry, not the locator.
+    the stored geometry, not the locator.  The same base samples serve
+    every cell, and all cells, samples and weights are one array product.
     """
-    worst = 0.0
-    qinv = inv(apex)
-    for cell in m.cells:
-        if cell.images[-1].w != apex.w:
-            raise ValueError("cell does not end at the apex")
-        base_dom = cell.domain[:-1]
-        base_img = cell.images[:-1]
-        for mu in sample_barycentric(len(base_dom) - 1, samples, seed):
-            u_img = tuple(
-                math.fsum(mu.s[i] * base_img[i].w[c] for i in range(len(base_img)))
-                for c in range(2 * m.n + 1)
-            )
-            rel = mul(qinv, HPoint(m.n, u_img))
-            for lam in lambdas:
-                expected = mul(apex, HPoint(m.n, tuple((1.0 - lam) * c for c in rel.w)))
-                actual = tuple((1.0 - lam) * u + lam * a for u, a in zip(u_img, apex.w))
-                worst = max(worst, max(abs(e - a) for e, a in zip(expected.w, actual)))
-    return worst
+    if not (m.images[:, -1] == apex.w).all():
+        raise ValueError("cell does not end at the apex")
+    q = np.array(apex.w)
+    mu = sample_weights(m.k - 1, samples, seed)
+    u = np.einsum("sv,cvd->csd", mu, m.images[:, :-1])
+    rel = _mul(-q, u, m.n)
+    lam = np.asarray(lambdas, dtype=float)[:, None, None, None]
+    expected = _mul(q, (1.0 - lam) * rel, m.n)
+    actual = (1.0 - lam) * u + lam * q
+    return float(np.abs(expected - actual).max())
 
 
 def map_segments(m: PLMap) -> List[Tuple[HPoint, HPoint]]:
     """The (start, end) image pairs of a 1-dimensional map's cells."""
     if m.k != 1:
         raise ValueError("segments are defined for 1-dimensional maps")
-    return [(cell.images[0], cell.images[1]) for cell in m.cells]
+    return [(HPoint(m.n, tuple(a)), HPoint(m.n, tuple(b))) for a, b in m.images.tolist()]

@@ -19,6 +19,7 @@ cell complex along a facet of Delta^k.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,11 +40,13 @@ __all__ = [
     "barycentric_vertex",
     "standard_simplex",
     "barycenter",
+    "sample_weights",
     "sample_barycentric",
     "face_map",
     "affine_simplex",
     "straight_simplex",
     "restrict_face",
+    "consistency_points",
     "map_consistency",
     "cone_cells",
     "simplex_chain",
@@ -92,15 +95,21 @@ def barycenter(k: int) -> Barycentric:
     return Barycentric(k, (1.0 / (k + 1),) * (k + 1))
 
 
-def sample_barycentric(k: int, count: int, seed: int) -> List[Barycentric]:
-    """Deterministic uniform samples of Delta^k (Dirichlet(1,..,1))."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for row in rng.dirichlet(np.ones(k + 1), size=count):
-        s = [float(c) for c in row]
-        s[-1] = 1.0 - math.fsum(s[:-1])
-        out.append(Barycentric(k, tuple(s)))
+def sample_weights(k: int, count: int, seed: int) -> np.ndarray:
+    """Deterministic uniform samples of Delta^k (Dirichlet(1,..,1)).
+
+    A (count, k+1) array; the last weight of each row is 1 minus the
+    exact sum of the others.
+    """
+    out = np.random.default_rng(seed).dirichlet(np.ones(k + 1), size=count)
+    for row in out:
+        row[-1] = 1.0 - math.fsum(row[:-1])
     return out
+
+
+def sample_barycentric(k: int, count: int, seed: int) -> List[Barycentric]:
+    """sample_weights as Barycentric points."""
+    return [Barycentric(k, tuple(row)) for row in sample_weights(k, count, seed).tolist()]
 
 
 def face_map(k: int, i: int):
@@ -199,47 +208,67 @@ class PLCell:
 class PLMap:
     """A piecewise linear map Delta^k -> H^n given by affine cells.
 
-    The cells tile Delta^k with disjoint interiors.  eval solves each
-    cell's barycentric system with precomputed inverses and picks the
-    lowest-index cell containing the query point (weights >= -1e-12);
-    exact queries at a cell vertex return the stored image unchanged.
+    The m cells live in two read-only arrays: domain, shape (m, k+1, k+1),
+    whose row domain[c, v] holds the barycentric weights of vertex v of
+    cell c, and images, shape (m, k+1, 2n+1), holding that vertex's image.
+    Both are validated once, on construction.  The cells tile Delta^k with
+    disjoint interiors.  eval solves each cell's barycentric system with
+    precomputed inverses and picks the lowest-index cell containing the
+    query point (weights >= -1e-12); exact queries at a cell vertex return
+    the stored image unchanged.
     """
 
-    def __init__(self, k: int, n: int, cells: Sequence[PLCell],
+    def __init__(self, k: int, n: int, domain, images,
                  descriptor: SimplexDescriptor, meta: Optional[dict] = None):
         if k < 0:
             raise ValueError("dimension must be >= 0")
-        cells = tuple(cells)
-        if not cells:
+        if n < 1:
+            raise ValueError("group index must be >= 1")
+        domain = np.asarray(domain, dtype=float)
+        images = np.asarray(images, dtype=float)
+        if domain.ndim != 3 or not len(domain):
             raise ValueError("a map needs at least one cell")
-        for cell in cells:
-            if len(cell.domain) != k + 1:
-                raise ValueError("cell arity does not match dimension")
-            for b in cell.domain:
-                if b.k != k:
-                    raise ValueError("cell domain lives in the wrong simplex")
-            for p in cell.images:
-                if p.n != n:
-                    raise ValueError("group index mismatch")
+        if domain.shape[1:] != (k + 1, k + 1):
+            raise ValueError("cell arity does not match dimension")
+        if images.shape != (len(domain), k + 1, 2 * n + 1):
+            raise ValueError("cell images do not match the cells or the group index")
+        if not np.isfinite(images).all():
+            raise ValueError("coordinates must be finite")
+        # both comparisons are False for NaN, and the sum is not finite for inf
+        if not domain.min() >= -BARY_TOL:
+            raise ValueError("barycentric weights must be nonnegative")
+        if not np.abs(domain.sum(axis=2) - 1.0).max() <= BARY_TOL:
+            raise ValueError("barycentric weights must sum to 1")
         self.k = k
         self.n = n
-        self.cells = cells
+        self.domain = domain.view()
+        self.images = images.view()
+        self.domain.flags.writeable = False  # maps are shared through face caches
+        self.images.flags.writeable = False
         self.descriptor = descriptor
         self.meta = dict(meta) if meta else {}
-        self._loc = None
+        self._inv = None
 
-    def _location_data(self):
-        if self._loc is None:
-            m, k, n = len(self.cells), self.k, self.n
-            dom = np.empty((m, k + 1, k + 1))
-            img = np.empty((m, k + 1, 2 * n + 1))
-            for ci, cell in enumerate(self.cells):
-                for vi, b in enumerate(cell.domain):
-                    dom[ci, :, vi] = b.s
-                for vi, p in enumerate(cell.images):
-                    img[ci, vi] = p.w
-            self._loc = (np.linalg.inv(dom), img)
-        return self._loc
+    @classmethod
+    def from_cells(cls, k: int, n: int, cells: Sequence[PLCell],
+                   descriptor: SimplexDescriptor, meta: Optional[dict] = None) -> "PLMap":
+        """A map from PLCell objects, validated as the arrays they fill."""
+        domain = np.array([[b.s for b in cell.domain] for cell in cells], dtype=float)
+        images = np.array([[p.w for p in cell.images] for cell in cells], dtype=float)
+        return cls(k, n, domain, images, descriptor, meta)
+
+    @property
+    def cells(self) -> Tuple[PLCell, ...]:
+        """The cells as PLCell objects, rebuilt from the arrays on each access."""
+        return tuple(PLCell(tuple(Barycentric(self.k, tuple(b)) for b in dom),
+                            tuple(HPoint(self.n, tuple(p)) for p in img))
+                     for dom, img in zip(self.domain.tolist(), self.images.tolist()))
+
+    def _inverse(self) -> np.ndarray:
+        """Per cell, the inverse of the matrix whose columns are the domain vertices."""
+        if self._inv is None:
+            self._inv = np.linalg.inv(self.domain.transpose(0, 2, 1))
+        return self._inv
 
     def _coerce(self, s) -> Barycentric:
         if not isinstance(s, Barycentric):
@@ -251,8 +280,7 @@ class PLMap:
     def locate(self, s) -> Tuple[int, np.ndarray]:
         """Return (cell index, cell barycentric weights) for a point."""
         s = self._coerce(s)
-        inv, _ = self._location_data()
-        lam = inv @ np.asarray(s.s)
+        lam = self._inverse() @ np.asarray(s.s)
         mins = lam.min(axis=1)
         inside = np.nonzero(mins >= -BARY_TOL)[0]
         if inside.size:
@@ -266,12 +294,10 @@ class PLMap:
     def eval(self, s) -> HPoint:
         s = self._coerce(s)
         ci, lam = self.locate(s)
-        cell = self.cells[ci]
-        for vi, b in enumerate(cell.domain):
-            if b.s == s.s:
-                return cell.images[vi]
-        _, img = self._location_data()
-        return HPoint(self.n, tuple(float(c) for c in lam @ img[ci]))
+        at_vertex = np.nonzero((self.domain[ci] == s.s).all(axis=1))[0]
+        if at_vertex.size:
+            return HPoint(self.n, tuple(self.images[ci, at_vertex[0]].tolist()))
+        return HPoint(self.n, tuple((lam @ self.images[ci]).tolist()))
 
     def eval_many(self, points: Sequence) -> List[HPoint]:
         return [self.eval(s) for s in points]
@@ -286,8 +312,9 @@ class PLMap:
 # ============================================================
 
 
-def _standard_domain(k: int) -> Tuple[Barycentric, ...]:
-    return tuple(barycentric_vertex(k, i) for i in range(k + 1))
+def _single_cell(vertices: Tuple[HPoint, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Domain and images of the one cell Delta^k -> vertices."""
+    return np.eye(len(vertices))[None], np.array([[v.w for v in vertices]])
 
 
 def _affine_rank_deficient(vertices: Sequence[HPoint]) -> bool:
@@ -306,8 +333,8 @@ def affine_simplex(vertices: Sequence[HPoint]) -> PLMap:
     k = len(vertices) - 1
     n = vertices[0].n
     desc = SimplexDescriptor(Builder.AFFINE, vertices, n)
-    cell = PLCell(_standard_domain(k), vertices)
-    return PLMap(k, n, (cell,), desc, {"degenerate": _affine_rank_deficient(vertices)})
+    return PLMap(k, n, *_single_cell(vertices), desc,
+                 {"degenerate": _affine_rank_deficient(vertices)})
 
 
 def straight_simplex(vertices: Sequence[HPoint]) -> PLMap:
@@ -327,55 +354,65 @@ def straight_simplex(vertices: Sequence[HPoint]) -> PLMap:
     k = len(vertices) - 1
     n = vertices[0].n
     desc = SimplexDescriptor(Builder.STRAIGHT, vertices, n)
-    cell = PLCell(_standard_domain(k), vertices)
-    return PLMap(k, n, (cell,), desc)
+    return PLMap(k, n, *_single_cell(vertices), desc)
 
 
-def cone_cells(base_cells: Sequence[PLCell], k_new: int, embed,
-               apex_dom: Barycentric, apex_img: HPoint) -> Tuple[PLCell, ...]:
-    """Cone every cell: embed its domain into Delta^{k_new}, append the apex.
+def cone_cells(base: PLMap, slot: int, apex_dom: Sequence[float],
+               apex_img: HPoint) -> Tuple[np.ndarray, np.ndarray]:
+    """Cone every cell of base into Delta^{k+1}; returns (domain, images).
 
-    The apex is always the last vertex of each new cell; cone consistency
-    checks rely on that ordering.
+    Each domain vertex gets a zero weight inserted at `slot` (the face
+    inclusion opposite e_slot, as face_map), and the apex becomes the last
+    vertex of every new cell; cone consistency checks rely on that
+    ordering.
     """
-    out = []
-    for cell in base_cells:
-        dom = tuple(embed(b) for b in cell.domain) + (apex_dom,)
-        img = cell.images + (apex_img,)
-        out.append(PLCell(dom, img))
-    return tuple(out)
+    cells, verts, dims = base.images.shape
+    domain = np.zeros((cells, verts + 1, verts + 1))
+    domain[:, :verts, :slot] = base.domain[:, :, :slot]
+    domain[:, :verts, slot + 1:] = base.domain[:, :, slot:]
+    domain[:, verts] = apex_dom
+    images = np.empty((cells, verts + 1, dims))
+    images[:, :verts] = base.images
+    images[:, verts] = apex_img.w
+    return domain, images
 
 
-def map_consistency(m: PLMap, count: int, seed: int) -> Tuple[bool, float]:
-    """Sampled coverage and shared-face agreement of a map's cells.
+def consistency_points(k: int, count: int, seed: int) -> np.ndarray:
+    """Query points for map_consistency, one per row: count samples of
+    Delta^k (sample_weights), its k+1 vertices and its edge midpoints."""
+    rows = [sample_weights(k, count, seed), np.eye(k + 1)]
+    for i, j in itertools.combinations(range(k + 1), 2):
+        mid = np.zeros(k + 1)
+        mid[i] = mid[j] = 0.5
+        rows.append(mid[None])
+    return np.concatenate(rows)
 
-    Returns (every sample lies in some cell, worst value spread among all
-    cells containing a sample).  Points interior to one cell have a single
-    container, so the spread is exercised exactly on shared faces.
+
+def map_consistency(m: PLMap, points: np.ndarray) -> Tuple[bool, float]:
+    """Coverage and shared-face agreement of a map's cells at query points.
+
+    points has one barycentric point of Delta^k per row (see
+    consistency_points).  Returns (every point lies in some cell, worst
+    value spread among all cells containing a point).  Points interior to
+    one cell have a single container, so the spread is exercised exactly
+    on shared faces.
     """
-    inv, img = m._location_data()
-    covered = True
-    worst = 0.0
-    samples = sample_barycentric(m.k, count, seed)
-    for i in range(m.k + 1):
-        samples.append(barycentric_vertex(m.k, i))
-    if m.k >= 1:
-        for i in range(m.k + 1):
-            for j in range(i + 1, m.k + 1):
-                mid = [0.0] * (m.k + 1)
-                mid[i] = mid[j] = 0.5
-                samples.append(Barycentric(m.k, tuple(mid)))
-    for s in samples:
-        lam = inv @ np.asarray(s.s)
-        inside = np.nonzero(lam.min(axis=1) >= -1e-9)[0]
-        if inside.size == 0:
-            covered = False
-            continue
-        vals = np.array([lam[ci] @ img[ci] for ci in inside])
-        if len(vals) > 1:
-            spread = float((vals.max(axis=0) - vals.min(axis=0)).max())
-            worst = max(worst, spread)
-    return covered, worst
+    # stacked matrix @ column products round exactly like eval's inverse @ point;
+    # the minimum over slices is much faster than min() along a short last axis
+    lam = np.matmul(m._inverse()[None], points[:, None, :, None])[..., 0]
+    low = lam[..., 0]
+    for i in range(1, m.k + 1):
+        low = np.minimum(low, lam[..., i])
+    inside = low >= -1e-9
+    containers = inside.sum(axis=1)
+    covered = bool((containers > 0).all())
+    point, cell = np.nonzero(inside & (containers > 1)[:, None])
+    if not point.size:
+        return covered, 0.0
+    vals = (lam[point, cell][:, None, :] @ m.images[cell])[:, 0]
+    first = np.flatnonzero(np.r_[True, point[1:] != point[:-1]])
+    spread = np.maximum.reduceat(vals, first) - np.minimum.reduceat(vals, first)
+    return covered, float(spread.max())
 
 
 def restrict_face(m: PLMap, i: int) -> PLMap:
@@ -391,18 +428,14 @@ def restrict_face(m: PLMap, i: int) -> PLMap:
         raise ValueError("a point has no faces")
     if not 0 <= i <= m.k:
         raise ValueError("face index out of range")
-    new_cells = []
-    for cell in m.cells:
-        picked = [vi for vi, b in enumerate(cell.domain) if abs(b.s[i]) <= BARY_TOL]
-        if len(picked) != m.k:
-            continue
-        dom = tuple(Barycentric(m.k - 1, cell.domain[vi].s[:i] + cell.domain[vi].s[i + 1 :])
-                    for vi in picked)
-        img = tuple(cell.images[vi] for vi in picked)
-        new_cells.append(PLCell(dom, img))
-    if not new_cells:
+    on_face = np.abs(m.domain[:, :, i]) <= BARY_TOL
+    keep = on_face.sum(axis=1) == m.k
+    if not keep.any():
         raise ValueError("no cells lie on the requested face")
-    return PLMap(m.k - 1, m.n, new_cells, m.descriptor.drop_vertex(i))
+    picked = on_face[keep]
+    domain = np.delete(m.domain[keep][picked], i, axis=1).reshape(-1, m.k, m.k)
+    images = m.images[keep][picked].reshape(-1, m.k, 2 * m.n + 1)
+    return PLMap(m.k - 1, m.n, domain, images, m.descriptor.drop_vertex(i))
 
 
 # ============================================================

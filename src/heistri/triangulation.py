@@ -243,17 +243,18 @@ def _sampled_cells(chain: Chain, samples: int, dim: int):
     refine = dim == 2 and samples > 1
     if refine:
         bary, tris = _triangle_lattice(samples)
+    faces = {}
     for desc, coeff in chain.items_sorted():
-        m = build_map(desc)
-        for cell in m.cells:
-            imgs = [p.w for p in cell.images]
+        m = build_map(desc, faces)
+        for cell in m.images.tolist():
             if refine:
-                pts = [tuple(sum(b[i] * imgs[i][c] for i in range(3))
-                             for c in range(len(imgs[0]))) for b in bary]
+                # summed left to right from 0.0, as sum() does before Python 3.12
+                pts = [tuple(0.0 + b0 * c0 + b1 * c1 + b2 * c2 for c0, c1, c2 in zip(*cell))
+                       for b0, b1, b2 in bary]
                 for tri in tris:
                     yield coeff, [pts[i] for i in tri]
             else:
-                yield coeff, imgs
+                yield coeff, [tuple(p) for p in cell]
 
 
 def export_mesh(t: Union[TriangulationChain, Chain], format: str,

@@ -24,10 +24,12 @@ import heistri
 from heistri import (
     Builder,
     HPoint,
+    PLMap,
     SimplexDescriptor,
     build_map,
     chain_from_json,
 )
+from heistri import cli
 from heistri.cli import main as cli_main
 
 
@@ -285,6 +287,39 @@ class TestCheck:
         rc, out, err = run_cli(capsys, "check", p3)
         assert rc == 0
         assert json.loads(out)["passed"] is True
+
+    def assert_all_pass(self, capsys, monkeypatch, chain_text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(chain_text))
+        rc, out, err = run_cli(capsys, "check", "-")
+        report = json.loads(out)
+        assert [c["name"] for c in report["checks"]] == self.CHECK_NAMES
+        assert [c["passed"] for c in report["checks"]] == [True] * 5
+        assert rc == 0 and report["passed"] is True
+
+    def test_large_coordinate_cube_passes(self, capsys, monkeypatch):
+        # cell spreads are scaled by 1 + max|coord| like the other suites
+        _, chain, _ = run_cli(capsys, "triangulate", "--cube=100000,3,-7", "--builder", "hybrid")
+        self.assert_all_pass(capsys, monkeypatch, chain)
+
+    def test_n2_hybrid_cube_passes_all_checks(self, capsys, monkeypatch):
+        _, chain, _ = run_cli(capsys, "triangulate", "--n", "2", "--cube=0,0,0,0,0",
+                              "--builder", "hybrid")
+        assert len(json.loads(chain)["terms"]) == 120
+        self.assert_all_pass(capsys, monkeypatch, chain)
+
+    def test_moved_apex_fails_cone_relation(self, capsys):
+        # every cell still ends at the apex, so only the apex position check
+        # can see that the interior vertex's image moved
+        chain = chain_from_json(run_json(capsys, "triangulate", "--cube", "0,0,0",
+                                         "--builder", "hybrid"))
+        desc = next(iter(chain.terms))
+        m = build_map(desc)
+        apex = HPoint(1, m.meta["apex"].w[:2] + (m.meta["apex"].w[2] + 1e-6,))
+        images = m.images.copy()
+        images[:, -1] = apex.w
+        moved = PLMap(m.k, m.n, m.domain, images, desc, dict(m.meta, apex=apex))
+        result = cli._check_cones(chain, 1e-12, {desc.vertices: moved})
+        assert result["passed"] is False and result["residual"] > 1e-9
 
     def test_seeded_report_is_deterministic(self, capsys, tmp_path):
         doc = run_json(capsys, "triangulate", "--cube", "0,0,0",
@@ -575,6 +610,34 @@ class TestGoldenBytes:
         monkeypatch.setattr("sys.stdin", io.StringIO(chain))
         bnd = self.output(capsys, "boundary", "-")
         assert self.sha(bnd) == "2b9af35d9a89922d75319ebc87df48bf04cb745ea2ecf260dc7c1c043072d061"
+
+    def test_hybrid_cube_vtk(self, capsys, monkeypatch):
+        chain = self.output(capsys, "triangulate", "--cube=0,0,0", "--builder", "hybrid")
+        monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+        vtk = self.output(capsys, "export", "-", "--format", "vtk")
+        assert self.sha(vtk) == "2431313575d8c537d369553f3c47be159147ee7b35f67786e77c7c8b4cada824"
+
+    def test_hybrid_cube_check_report(self, capsys, monkeypatch):
+        # cell_consistency and cone_relation are rounding noise; only the
+        # other three residuals are pinned exactly
+        chain = self.output(capsys, "triangulate", "--cube=0,0,0", "--builder", "hybrid")
+        monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+        report = json.loads(self.output(capsys, "check", "-"))
+        assert report["input"] == "-" and report["passed"] is True
+        assert [(c["name"], c["passed"], c["detail"]) for c in report["checks"]] == [
+            ("boundary_squared_zero", True, "terms remaining after applying the boundary twice"),
+            ("horizontality", True, "max scaled segment residual over 134 segments"),
+            ("cell_consistency", True,
+             "coverage of the domain simplex and spread across shared cell faces"),
+            ("equivariance_spot", True, "max relative deviation under dilation/translation on 3 terms"),
+            ("cone_relation", True, "max scaled cone-relation residual over 6 hybrid terms"),
+        ]
+        residual = {c["name"]: c["residual"] for c in report["checks"]}
+        assert residual["boundary_squared_zero"] == 0.0
+        assert residual["horizontality"] == 6.885648749918358e-17
+        assert residual["equivariance_spot"] == 1.4611006033659535e-16
+        assert residual["cell_consistency"] <= 1e-15
+        assert residual["cone_relation"] <= 1e-15
 
 
 # ============================================================

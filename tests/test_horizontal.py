@@ -14,12 +14,14 @@ from heistri import (
     Barycentric,
     Builder,
     HPoint,
+    PLMap,
     SimplexDescriptor,
     barycenter,
     barycentric_vertex,
     build_map,
     cone_relation_residual,
     cone_to_apex,
+    consistency_points,
     dilate,
     exp_center_of_gravity,
     horizontal_path,
@@ -53,6 +55,37 @@ def ode_residual(a, b, steps=2000):
     integrand = 0.5 * (x @ dy - y @ dx)
     lifted_t = a.w[2 * n] + np.trapezoid(integrand, u)
     return b.w[2 * n] - lifted_t
+
+
+def cone_relation_loop(m, apex, samples=4, lambdas=(0.25, 0.5, 0.75), seed=7):
+    """Reference: the cone relation residual cell by cell, in plain floats."""
+    worst = 0.0
+    for cell in m.cells:
+        base = cell.images[:-1]
+        for mu in sample_barycentric(len(base) - 1, samples, seed):
+            u = HPoint(m.n, tuple(math.fsum(w * p.w[c] for w, p in zip(mu.s, base))
+                                  for c in range(2 * m.n + 1)))
+            rel = mul(inv(apex), u)
+            for lam in lambdas:
+                expected = mul(apex, HPoint(m.n, tuple((1.0 - lam) * c for c in rel.w)))
+                actual = [(1.0 - lam) * a + lam * b for a, b in zip(u.w, apex.w)]
+                worst = max(worst, max(abs(e - a) for e, a in zip(expected.w, actual)))
+    return worst
+
+
+def consistency_loop(m, points):
+    """Reference: map_consistency one query point at a time."""
+    inverse = np.linalg.inv(m.domain.transpose(0, 2, 1))
+    covered, worst = True, 0.0
+    for s in points:
+        lam = inverse @ s
+        inside = np.nonzero(lam.min(axis=1) >= -1e-9)[0]
+        if inside.size == 0:
+            covered = False
+            continue
+        vals = np.array([lam[c] @ m.images[c] for c in inside])
+        worst = max(worst, float((vals.max(axis=0) - vals.min(axis=0)).max()))
+    return covered, worst
 
 
 def pointwise_gap(m1, m2, k, samples=20, seed=3):
@@ -362,8 +395,17 @@ class TestHybridSimplex:
         rng = np.random.default_rng(67)
         for k in (2, 3):
             verts = rand_points(rng, 1, k + 1)
-            covered, spread = map_consistency(hybrid_simplex(verts), 60, seed=1)
+            points = consistency_points(k, 60, seed=1)
+            covered, spread = map_consistency(hybrid_simplex(verts), points)
             assert covered and spread <= 1e-12
+
+    def test_cell_consistency_matches_loop_reference(self):
+        # same arithmetic point by point, so the results are equal
+        rng = np.random.default_rng(103)
+        for n, k in ((1, 2), (1, 3), (2, 4)):
+            m = hybrid_simplex(rand_points(rng, n, k + 1, lo=-50.0, hi=50.0))
+            points = consistency_points(k, 20, seed=k)
+            assert map_consistency(m, points) == consistency_loop(m, points)
 
     def test_equivariance(self):
         rng = np.random.default_rng(71)
@@ -388,6 +430,27 @@ class TestHybridSimplex:
         m = hybrid_simplex(verts)
         scale = 1.0 + max(abs(c) for v in verts for c in v.w)
         assert cone_relation_residual(m, m.meta["apex"]) <= 1e-12 * scale
+
+    def test_cone_relation_matches_loop_reference(self):
+        # base points are summed by einsum here and by fsum in the loop, so
+        # the two may differ by rounding at the coordinates' magnitude
+        rng = np.random.default_rng(107)
+        for n, k in ((1, 2), (1, 3), (2, 4), (2, 5)):
+            verts = rand_points(rng, n, k + 1)
+            m = hybrid_simplex(verts)
+            scale = 1.0 + max(abs(c) for v in verts for c in v.w)
+            tol = 16 * np.finfo(float).eps * scale * scale
+            want = cone_relation_loop(m, m.meta["apex"])
+            assert abs(cone_relation_residual(m, m.meta["apex"]) - want) <= tol
+
+    def test_cone_relation_rejects_cell_off_the_apex(self):
+        rng = np.random.default_rng(109)
+        m = hybrid_simplex(rand_points(rng, 1, 3))
+        images = m.images.copy()
+        images[4, -1, 2] += 1e-6
+        moved = PLMap(m.k, m.n, m.domain, images, m.descriptor, m.meta)
+        with pytest.raises(ValueError, match="cell does not end at the apex"):
+            cone_relation_residual(moved, m.meta["apex"])
 
     def test_dimension_cap(self):
         rng = np.random.default_rng(79)

@@ -7,6 +7,7 @@ back) and checks both agree.  Chain arithmetic is exact integers, so the
 boundary-of-boundary tests assert emptiness with no tolerance.
 """
 
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from heistri import (
     boundary,
     chain_from_json,
     chain_to_json,
+    consistency_points,
     dilate,
     exp_map,
     face_map,
@@ -253,7 +255,7 @@ def two_cell_segment():
     left = PLCell((Barycentric(1, (1.0, 0.0)), Barycentric(1, (0.5, 0.5))), (a, mid))
     right = PLCell((Barycentric(1, (0.5, 0.5)), Barycentric(1, (0.0, 1.0))), (mid, b))
     desc = SimplexDescriptor(Builder.AFFINE, (a, b), 1)
-    return PLMap(1, 1, (left, right), desc)
+    return PLMap.from_cells(1, 1, (left, right), desc)
 
 
 class TestPLMap:
@@ -265,7 +267,7 @@ class TestPLMap:
     def test_shared_face_point_is_consistent(self):
         m = two_cell_segment()
         assert m.eval(Barycentric(1, (0.5, 0.5))).w == (1.0, 1.0, 0.0)
-        covered, spread = map_consistency(m, 40, seed=3)
+        covered, spread = map_consistency(m, consistency_points(1, 40, seed=3))
         assert covered and spread <= 1e-12
 
     def test_vertex_query_returns_stored_image(self):
@@ -286,11 +288,51 @@ class TestPLMap:
         with pytest.raises(ValueError):
             m.eval((1.4, -0.4))
 
+    def test_disagreeing_cells_spread_is_the_disagreement(self):
+        m = two_cell_segment()
+        images = m.images.copy()
+        images[1, 0, 1] += 0.25  # the right cell starts 0.25 above where the left one ends
+        torn = PLMap(1, 1, m.domain, images, m.descriptor)
+        assert map_consistency(torn, consistency_points(1, 40, seed=3)) == (True, 0.25)
+
+    def test_gap_between_cells_is_uncovered(self):
+        m = two_cell_segment()
+        domain = m.domain.copy()
+        domain[0, 1] = (0.6, 0.4)  # the cells now cover [0, 0.4] and [0.6, 1],
+        domain[1, 0] = (0.4, 0.6)  # missing the midpoint, which is always queried
+        gapped = PLMap(1, 1, domain, m.images, m.descriptor)
+        covered, _ = map_consistency(gapped, consistency_points(1, 40, seed=3))
+        assert covered is False
+
+    @pytest.mark.parametrize("slot, value, message", [
+        ("domain", -0.5, "nonnegative"),
+        ("domain", 0.75, "sum to 1"),
+        ("domain", math.nan, "nonnegative"),
+        ("images", math.inf, "finite"),
+        ("images", math.nan, "finite"),
+    ])
+    def test_array_cells_validated(self, slot, value, message):
+        m = two_cell_segment()
+        arrays = {"domain": m.domain.copy(), "images": m.images.copy()}
+        arrays[slot][1, 0, 0] = value
+        with pytest.raises(ValueError, match=message):
+            PLMap(1, 1, arrays["domain"], arrays["images"], m.descriptor)
+
+    def test_image_width_validated(self):
+        m = two_cell_segment()
+        with pytest.raises(ValueError, match="group index"):
+            PLMap(1, 2, m.domain, m.images, m.descriptor)
+
+    def test_cells_view_round_trips(self):
+        m = two_cell_segment()
+        again = PLMap.from_cells(1, 1, m.cells, m.descriptor)
+        assert np.array_equal(again.domain, m.domain) and np.array_equal(again.images, m.images)
+
     def test_cell_arity_validated(self):
         a = HPoint(1, (0.0, 0.0, 0.0))
         cell = PLCell((Barycentric(1, (1.0, 0.0)),), (a,))
         with pytest.raises(ValueError):
-            PLMap(1, 1, (cell,), SimplexDescriptor(Builder.AFFINE, (a,), 1))
+            PLMap.from_cells(1, 1, (cell,), SimplexDescriptor(Builder.AFFINE, (a,), 1))
 
 
 # ============================================================
@@ -436,7 +478,30 @@ class TestChain:
         assert back == d and {d: 1}[back] == 1
 
 
+@st.composite
+def chains(draw):
+    """Chains of degree k <= 3 in H^1 or H^2, any builder, coefficients of either sign."""
+    n = draw(st.sampled_from((1, 2)))
+    k = draw(st.integers(0, 3))
+    coord = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    point = st.tuples(*[coord] * (2 * n + 1)).map(lambda w: HPoint(n, w))
+    term = st.tuples(st.sampled_from(list(Builder)),
+                     st.lists(point, min_size=k + 1, max_size=k + 1),
+                     st.integers(-5, 5).filter(bool))
+    terms = {}
+    for builder, verts, coeff in draw(st.lists(term, max_size=6)):
+        desc = SimplexDescriptor(builder, tuple(verts), n)
+        terms[desc] = terms.get(desc, 0) + coeff
+    return Chain(k, n, terms)
+
+
 class TestChainJson:
+    @given(chains())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_property(self, chain):
+        text = json.dumps(chain_to_json(chain))
+        assert chain_from_json(json.loads(text)) == chain
+
     def test_round_trip(self):
         rng = np.random.default_rng(51)
         terms = {}
