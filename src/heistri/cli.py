@@ -37,6 +37,7 @@ from .simplex import (
     chain_from_json,
     chain_to_json,
     consistency_points,
+    json_text,
     map_consistency,
     sample_barycentric,
     simplex_chain,
@@ -94,7 +95,7 @@ def _read_json(path: str) -> dict:
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 # ============================================================

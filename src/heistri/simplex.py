@@ -20,9 +20,11 @@ cell complex along a facet of Delta^k.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "cone_cells",
     "simplex_chain",
     "boundary",
+    "json_text",
     "chain_to_json",
     "chain_from_json",
 ]
@@ -149,8 +152,9 @@ class SimplexDescriptor:
 
     Equality is exact tuple equality of the vertex coordinates; no
     tolerance is applied anywhere in chain arithmetic.  The hash is
-    computed once, on first use, from the builder tag, the coordinate
-    tuples and n; it is process-local, so pickling drops it.
+    computed once, on construction, from the builder tag, the coordinate
+    tuples and n; it is process-local, so pickling drops it and an
+    unpickled copy computes it on first use.
     """
 
     builder: Builder
@@ -163,12 +167,16 @@ class SimplexDescriptor:
         for v in self.vertices:
             if v.n != self.n:
                 raise ValueError("group index mismatch")
+        object.__setattr__(self, "_hash", self._compute_hash())
+
+    def _compute_hash(self) -> int:
+        return hash((self.builder.value, tuple(v.w for v in self.vertices), self.n))
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.builder.value, tuple(v.w for v in self.vertices), self.n))
+            h = self._compute_hash()
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -518,16 +526,58 @@ def boundary(chain: Chain) -> Chain:
         return Chain(-1, chain.n)
     out: Dict[SimplexDescriptor, int] = {}
     for desc, coeff in chain.terms.items():
-        for i in range(desc.k + 1):
-            face = desc.drop_vertex(i)
-            sign = 1 if i % 2 == 0 else -1
-            out[face] = out.get(face, 0) + sign * coeff
+        verts, builder = desc.vertices, desc.builder
+        for i in range(len(verts)):
+            face = SimplexDescriptor(builder, verts[:i] + verts[i + 1:], chain.n)
+            out[face] = out.get(face, 0) + (coeff if i % 2 == 0 else -coeff)
     return Chain(chain.k - 1, chain.n, out)
 
 
 # ============================================================
 # serialization
 # ============================================================
+
+
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _indented(obj, indent: str) -> str:
+    """json.dumps(obj, indent=2) as it reads nested at `indent`."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if (kind is list or kind is tuple) and obj:
+        try:
+            body = (",\n" + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            body = None
+        # json writes a finite float as float.__repr__ does; only nan and
+        # inf have an "n" in that spelling, and json writes NaN, Infinity
+        if body is None or "n" in body:
+            body = (",\n" + inner).join([_indented(item, inner) for item in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        body = (",\n" + inner).join([encode_basestring_ascii(key) + ": " + _indented(value, inner)
+                                     for key, value in obj.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple, dict)):
+        # empty, a subclass, or keys json converts itself; JSON text has no
+        # raw newline inside a string, so each line shifts to the depth
+        return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+    return _encode_scalar(obj)
+
+
+def json_text(doc) -> str:
+    """json.dumps(doc, indent=2) plus a newline, byte for byte.
+
+    Built from joined strings rather than json's pure-Python indenting
+    encoder, which spends most of its time on the coordinate lists of
+    chain documents.
+    """
+    return _indented(doc, "") + "\n"
 
 
 def chain_to_json(chain: Chain, extra: Optional[dict] = None) -> dict:
@@ -554,6 +604,20 @@ def chain_from_json(doc: dict) -> Chain:
     k = int(doc["k"])
     n = int(doc["n"])
     terms: Dict[SimplexDescriptor, int] = {}
+    # Terms of a chain share most of their vertices, so equal coordinates
+    # become one HPoint.  Coordinates with a zero are not shared: 0.0 ==
+    # -0.0, and each point keeps the sign it was written with.
+    points: Dict[Tuple[float, ...], HPoint] = {}
+
+    def point(coords) -> HPoint:
+        w = tuple(map(float, coords))
+        got = points.get(w)
+        if got is None:
+            got = HPoint(n, w)
+            if 0.0 not in w:
+                points[w] = got
+        return got
+
     for index, term in enumerate(doc["terms"]):
         coeff = term["coeff"]
         if type(coeff) is not int:
@@ -561,7 +625,7 @@ def chain_from_json(doc: dict) -> Chain:
         if len(term["vertices"]) != k + 1:
             raise ValueError(f"term {index}: a {k}-chain term needs {k + 1} vertices, "
                              f"got {len(term['vertices'])}")
-        verts = tuple(HPoint(n, tuple(float(c) for c in v)) for v in term["vertices"])
+        verts = tuple(point(v) for v in term["vertices"])
         desc = SimplexDescriptor(Builder(term["builder"]), verts, n)
         terms[desc] = terms.get(desc, 0) + coeff
     return Chain(k, n, terms)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,6 +35,7 @@ from .simplex import (
     SimplexDescriptor,
     boundary,
     chain_to_json,
+    json_text,
 )
 
 __all__ = [
@@ -271,7 +271,7 @@ def export_mesh(t: Union[TriangulationChain, Chain], format: str,
         raise ValueError("samples_per_edge must be >= 1")
 
     if fmt == "json":
-        return (json.dumps(chain_to_json(chain, extra), indent=2) + "\n").encode()
+        return json_text(chain_to_json(chain, extra)).encode()
 
     if chain.n != 1:
         if fmt == "obj":

@@ -45,6 +45,7 @@ from heistri import (
     straight_simplex,
     translate,
 )
+from heistri.simplex import json_text
 
 
 def rand_points(rng, n, count, lo=-5.0, hi=5.0):
@@ -501,6 +502,39 @@ class TestChainJson:
     def test_round_trip_property(self, chain):
         text = json.dumps(chain_to_json(chain))
         assert chain_from_json(json.loads(text)) == chain
+
+    @given(chains())
+    @settings(max_examples=150, deadline=None)
+    def test_json_text_matches_json_dumps(self, chain):
+        doc = chain_to_json(chain, {"provenance": {"kind": "box", "lo": [0, -1]}})
+        assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_json_text_fallbacks_match_json_dumps(self):
+        doc = {
+            "empty": [[], {}, [[]], [{}]],
+            "scalars": [1, True, None, "a, b\u00e9\"\n", -0.0, 1e-300, 5e-324],
+            "not_finite": [float("nan"), float("inf"), 1.0, -float("inf")],
+            "numpy": [np.float64(0.1), 2.5],
+            "tuple": (1.5, (2.5, "x")),
+            "keys": {1: "int", 2.5: "float", True: "bool", None: [1.0, {"a": []}]},
+            "deep": [{"x": [[0.25, -3.0], [7.0, 1e22]]}, "s"],
+        }
+        assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+        assert json_text(3.0) == "3.0\n" and json_text([]) == "[]\n"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text({"bad": [1.0, object()]})
+
+    def test_from_json_keeps_the_sign_of_zero(self):
+        doc = {"k": 0, "n": 1, "terms": [
+            {"coeff": 1, "builder": "affine", "vertices": [[-0.0, 1.0, 2.0]]},
+            {"coeff": 1, "builder": "horizontal_path", "vertices": [[1, 1, 2]]},
+            {"coeff": 1, "builder": "hybrid", "vertices": [[1.0, 1.0, 2.0]]},
+            {"coeff": 1, "builder": "straight", "vertices": [[0.0, 1.0, 2.0]]},
+        ]}
+        back = chain_to_json(chain_from_json(doc))
+        assert back == doc
+        assert [json_text(t["vertices"][0]).split()[1] for t in back["terms"]] == [
+            "-0.0,", "1.0,", "1.0,", "0.0,"]
 
     def test_round_trip(self):
         rng = np.random.default_rng(51)
