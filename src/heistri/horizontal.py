@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HPoint, inv, mul, origin
+from .core import HPoint, inv, mul
 from .simplex import (
     Builder,
     PLMap,

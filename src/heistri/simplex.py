@@ -22,19 +22,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HPoint, point_from_json, point_to_json
+from .core import HPoint
 
 __all__ = [
     "BARY_TOL",
     "Barycentric",
-    "PLCell",
     "PLMap",
     "Builder",
     "SimplexDescriptor",
@@ -201,18 +201,6 @@ class SimplexDescriptor:
         return (self.builder.value, tuple(v.w for v in self.vertices))
 
 
-@dataclass(frozen=True)
-class PLCell:
-    """One affine cell: k+1 barycentric domain vertices and their images."""
-
-    domain: Tuple[Barycentric, ...]
-    images: Tuple[HPoint, ...]
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.images):
-            raise ValueError("domain/image vertex count mismatch")
-
-
 class PLMap:
     """A piecewise linear map Delta^k -> H^n given by affine cells.
 
@@ -257,21 +245,6 @@ class PLMap:
         self.meta = dict(meta) if meta else {}
         self._inv = None
 
-    @classmethod
-    def from_cells(cls, k: int, n: int, cells: Sequence[PLCell],
-                   descriptor: SimplexDescriptor, meta: Optional[dict] = None) -> "PLMap":
-        """A map from PLCell objects, validated as the arrays they fill."""
-        domain = np.array([[b.s for b in cell.domain] for cell in cells], dtype=float)
-        images = np.array([[p.w for p in cell.images] for cell in cells], dtype=float)
-        return cls(k, n, domain, images, descriptor, meta)
-
-    @property
-    def cells(self) -> Tuple[PLCell, ...]:
-        """The cells as PLCell objects, rebuilt from the arrays on each access."""
-        return tuple(PLCell(tuple(Barycentric(self.k, tuple(b)) for b in dom),
-                            tuple(HPoint(self.n, tuple(p)) for p in img))
-                     for dom, img in zip(self.domain.tolist(), self.images.tolist()))
-
     def _inverse(self) -> np.ndarray:
         """Per cell, the inverse of the matrix whose columns are the domain vertices."""
         if self._inv is None:
@@ -309,10 +282,6 @@ class PLMap:
 
     def eval_many(self, points: Sequence) -> List[HPoint]:
         return [self.eval(s) for s in points]
-
-    def vertex_images(self) -> Tuple[HPoint, ...]:
-        """Images of the corners e_0..e_k of Delta^k."""
-        return tuple(self.eval(barycentric_vertex(self.k, i)) for i in range(self.k + 1))
 
 
 # ============================================================
@@ -599,10 +568,15 @@ def chain_to_json(chain: Chain, extra: Optional[dict] = None) -> dict:
 
 
 def chain_from_json(doc: dict) -> Chain:
-    """Parse a chain document; a non-integer coeff or a vertex count other
-    than k+1 is a ValueError naming the term index."""
-    k = int(doc["k"])
-    n = int(doc["n"])
+    """Parse a chain document, coercing nothing: k, n and each coeff must be
+    ints, terms a list, each coordinate a float or an int in float range, and
+    each term k+1 vertices.  A ValueError names the term index of a bad term."""
+    k, n, doc_terms = doc["k"], doc["n"], doc["terms"]
+    for name, value in (("k", k), ("n", n)):
+        if type(value) is not int:  # bool is an int subclass; JSON would write true
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if type(doc_terms) is not list:
+        raise ValueError(f"terms must be a list, got {type(doc_terms).__name__}")
     terms: Dict[SimplexDescriptor, int] = {}
     # Terms of a chain share most of their vertices, so equal coordinates
     # become one HPoint.  Coordinates with a zero are not shared: 0.0 ==
@@ -618,14 +592,21 @@ def chain_from_json(doc: dict) -> Chain:
                 points[w] = got
         return got
 
-    for index, term in enumerate(doc["terms"]):
+    for index, term in enumerate(doc_terms):
         coeff = term["coeff"]
         if type(coeff) is not int:
             raise ValueError(f"term {index}: coeff must be an integer, got {coeff!r}")
-        if len(term["vertices"]) != k + 1:
+        vertices = term["vertices"]
+        if len(vertices) != k + 1:
             raise ValueError(f"term {index}: a {k}-chain term needs {k + 1} vertices, "
-                             f"got {len(term['vertices'])}")
-        verts = tuple(point(v) for v in term["vertices"])
+                             f"got {len(vertices)}")
+        for coords in vertices:
+            for c in coords:
+                # float() of an int beyond the float range raises OverflowError
+                if type(c) is not float and (type(c) is not int or abs(c) > sys.float_info.max):
+                    raise ValueError(f"term {index}: coordinates must be numbers in the "
+                                     f"float range, got {c!r}")
+        verts = tuple(point(v) for v in vertices)
         desc = SimplexDescriptor(Builder(term["builder"]), verts, n)
         terms[desc] = terms.get(desc, 0) + coeff
     return Chain(k, n, terms)

@@ -31,9 +31,7 @@ from .horizontal import build_map
 from .simplex import (
     Builder,
     Chain,
-    PLMap,
     SimplexDescriptor,
-    boundary,
     chain_to_json,
     json_text,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "increasing_maps",
     "orientation_sign",
     "triangulate_cube",
-    "boundary_of_triangulation",
     "triangulate_region",
     "export_mesh",
 ]
@@ -184,10 +181,6 @@ def triangulate_cube(corners: CornerAssignment, builder: Builder) -> Triangulati
         terms[desc] = terms.get(desc, 0) + sign
     chain = Chain(k, corners.n, terms)
     return TriangulationChain(chain, {"kind": "cube", "k": k}, builder)
-
-
-def boundary_of_triangulation(t: TriangulationChain) -> Chain:
-    return boundary(t.chain)
 
 
 def triangulate_region(n: int, eps: float, lo: Sequence[int], hi: Sequence[int],

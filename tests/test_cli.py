@@ -205,6 +205,51 @@ class TestBoundary:
         assert out == ""
         assert "term 3: coeff must be an integer" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", "3"), ("k", 3.7), ("k", 3.0), ("k", None), ("n", True), ("n", "1"),
+    ])
+    def test_non_integer_degree_or_group_index_rejected(self, capsys, monkeypatch,
+                                                         field, value):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        doc[field] = value
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "boundary", "-")
+        assert rc == 2
+        assert out == ""
+        assert f"{field} must be an integer" in err
+
+    @pytest.mark.parametrize("terms", [{}, {"0": 1}, "[]", None])
+    def test_terms_that_are_not_a_list_rejected(self, capsys, monkeypatch, terms):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        doc["terms"] = terms
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "boundary", "-")
+        assert rc == 2
+        assert out == ""
+        assert "terms must be a list" in err
+
+    @pytest.mark.parametrize("coord", ["1e0", "0", True, False, None, [0.0], 10**400])
+    def test_non_number_coordinate_rejected(self, capsys, monkeypatch, coord):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        doc["terms"][2]["vertices"][1][0] = coord
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "boundary", "-")
+        assert rc == 2
+        assert out == ""
+        assert "term 2: coordinates must be numbers" in err
+
+    def test_integer_coordinates_read_as_floats(self, capsys, monkeypatch):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        texts = [json.dumps(doc)]
+        for term in doc["terms"]:
+            term["vertices"] = [[int(c) for c in v] for v in term["vertices"]]
+        texts.append(json.dumps(doc))
+        outputs = []
+        for text in texts:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            outputs.append(run_cli(capsys, "boundary", "-"))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
     def test_wrong_vertex_count_rejected(self, capsys, monkeypatch):
         doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
         doc["terms"][4]["vertices"].pop()
@@ -320,6 +365,21 @@ class TestCheck:
         moved = PLMap(m.k, m.n, m.domain, images, desc, dict(m.meta, apex=apex))
         result = cli._check_cones(chain, 1e-12, {desc.vertices: moved})
         assert result["passed"] is False and result["residual"] > 1e-9
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+    def test_negative_or_non_finite_tolerance_rejected(self, capsys, tmp_path, tol):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        path = write_doc(tmp_path, "cube.json", doc)
+        rc, out, err = run_cli(capsys, "check", path, f"--tol={tol}")
+        assert rc == 2
+        assert out == ""
+        assert "--tol must be a finite nonnegative number" in err
+
+    def test_zero_tolerance_runs(self, capsys, tmp_path):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        path = write_doc(tmp_path, "cube.json", doc)
+        rc, out, err = run_cli(capsys, "check", path, "--tol", "0")
+        assert rc == 0 and json.loads(out)["passed"] is True
 
     def test_seeded_report_is_deterministic(self, capsys, tmp_path):
         doc = run_json(capsys, "triangulate", "--cube", "0,0,0",
@@ -638,6 +698,23 @@ class TestGoldenBytes:
         assert residual["equivariance_spot"] == 1.4611006033659535e-16
         assert residual["cell_consistency"] <= 1e-15
         assert residual["cone_relation"] <= 1e-15
+
+
+# ============================================================
+# dispatch
+# ============================================================
+
+
+class TestDispatch:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_rebound_subcommand_is_the_one_run(self, capsys, monkeypatch):
+        run_json(capsys, "triangulate", "--cube", "0,0,0")
+        calls = []
+        monkeypatch.setattr(cli, "cmd_boundary", lambda args: calls.append(args.input) or 7)
+        assert run_cli(capsys, "boundary", "chain.json") == (7, "", "")
+        assert calls == ["chain.json"]
 
 
 # ============================================================

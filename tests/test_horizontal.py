@@ -60,10 +60,10 @@ def ode_residual(a, b, steps=2000):
 def cone_relation_loop(m, apex, samples=4, lambdas=(0.25, 0.5, 0.75), seed=7):
     """Reference: the cone relation residual cell by cell, in plain floats."""
     worst = 0.0
-    for cell in m.cells:
-        base = cell.images[:-1]
+    for cell in m.images.tolist():
+        base = cell[:-1]
         for mu in sample_barycentric(len(base) - 1, samples, seed):
-            u = HPoint(m.n, tuple(math.fsum(w * p.w[c] for w, p in zip(mu.s, base))
+            u = HPoint(m.n, tuple(math.fsum(w * p[c] for w, p in zip(mu.s, base))
                                   for c in range(2 * m.n + 1)))
             rel = mul(inv(apex), u)
             for lam in lambdas:
@@ -333,7 +333,7 @@ class TestHybridSimplex:
         verts = rand_points(rng, 1, 3)
         m = hybrid_simplex(verts)
         assert m.meta["pieces"] == 3
-        assert sum(m.meta["piece_sizes"]) == len(m.cells)
+        assert sum(m.meta["piece_sizes"]) == len(m.images)
 
     def test_tetrahedron_piece_count(self):
         rng = np.random.default_rng(39)

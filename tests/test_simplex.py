@@ -21,7 +21,6 @@ from heistri import (
     Chain,
     HPoint,
     LieVector,
-    PLCell,
     PLMap,
     SimplexDescriptor,
     affine_simplex,
@@ -253,10 +252,10 @@ class TestStraightSimplex:
 def two_cell_segment():
     """Delta^1 split at the midpoint, mapped to a vee shape."""
     a, b, mid = HPoint(1, (0.0, 0.0, 0.0)), HPoint(1, (2.0, 0.0, 0.0)), HPoint(1, (1.0, 1.0, 0.0))
-    left = PLCell((Barycentric(1, (1.0, 0.0)), Barycentric(1, (0.5, 0.5))), (a, mid))
-    right = PLCell((Barycentric(1, (0.5, 0.5)), Barycentric(1, (0.0, 1.0))), (mid, b))
+    domain = [[(1.0, 0.0), (0.5, 0.5)], [(0.5, 0.5), (0.0, 1.0)]]
+    images = [[a.w, mid.w], [mid.w, b.w]]
     desc = SimplexDescriptor(Builder.AFFINE, (a, b), 1)
-    return PLMap.from_cells(1, 1, (left, right), desc)
+    return PLMap(1, 1, domain, images, desc)
 
 
 class TestPLMap:
@@ -324,16 +323,10 @@ class TestPLMap:
         with pytest.raises(ValueError, match="group index"):
             PLMap(1, 2, m.domain, m.images, m.descriptor)
 
-    def test_cells_view_round_trips(self):
-        m = two_cell_segment()
-        again = PLMap.from_cells(1, 1, m.cells, m.descriptor)
-        assert np.array_equal(again.domain, m.domain) and np.array_equal(again.images, m.images)
-
     def test_cell_arity_validated(self):
         a = HPoint(1, (0.0, 0.0, 0.0))
-        cell = PLCell((Barycentric(1, (1.0, 0.0)),), (a,))
-        with pytest.raises(ValueError):
-            PLMap.from_cells(1, 1, (cell,), SimplexDescriptor(Builder.AFFINE, (a,), 1))
+        with pytest.raises(ValueError, match="arity"):
+            PLMap(1, 1, [[(1.0, 0.0)]], [[a.w]], SimplexDescriptor(Builder.AFFINE, (a,), 1))
 
 
 # ============================================================

@@ -22,7 +22,6 @@ from heistri import (
     SimplexDescriptor,
     TriangulationChain,
     boundary,
-    boundary_of_triangulation,
     build_map,
     chain_from_json,
     dilate,
@@ -300,7 +299,7 @@ class TestTriangulateCube:
 class TestBoundaryOfTriangulation:
     def test_square_boundary_terms(self):
         t = triangulate_cube(unit_square_corners(), Builder.AFFINE)
-        b = boundary_of_triangulation(t)
+        b = boundary(t.chain)
         s1 = ((0, 0), (1, 0), (1, 1))
         s2 = ((0, 0), (0, 1), (1, 1))
         expected = {
@@ -315,7 +314,7 @@ class TestBoundaryOfTriangulation:
 
     def test_square_diagonal_cancels(self):
         t = triangulate_cube(unit_square_corners(), Builder.AFFINE)
-        b = boundary_of_triangulation(t)
+        b = boundary(t.chain)
         s1 = ((0, 0), (1, 0), (1, 1))
         diag = square_descriptor((s1[0], s1[2]))  # s1 o F1 = s2 o F1
         assert b.coeff(diag) == 0
@@ -328,7 +327,7 @@ class TestBoundaryOfTriangulation:
 
     def test_cube_boundary_is_twelve_terms(self):
         t = triangulate_cube(unit_cube_corners(), Builder.AFFINE)
-        b = boundary_of_triangulation(t)
+        b = boundary(t.chain)
         assert len(b) == 12
         # the surviving faces are exactly F0 and F3 of each simplex with
         # sign pattern (+sign, -sign)
@@ -339,7 +338,7 @@ class TestBoundaryOfTriangulation:
 
     def test_boundary_terms_lie_on_cube_surface(self):
         t = triangulate_cube(unit_cube_corners(), Builder.AFFINE)
-        b = boundary_of_triangulation(t)
+        b = boundary(t.chain)
         for desc, _ in b.items_sorted():
             m = build_map(desc)
             for s in sample_barycentric(2, 20, seed=9):
@@ -350,7 +349,7 @@ class TestBoundaryOfTriangulation:
     def test_boundary_squared_vanishes(self):
         for builder in (Builder.AFFINE, Builder.STRAIGHT, Builder.HYBRID):
             t = triangulate_cube(unit_cube_corners(), builder)
-            assert boundary(boundary_of_triangulation(t)).is_zero()
+            assert boundary(boundary(t.chain)).is_zero()
 
 
 # ============================================================
