@@ -21,14 +21,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import grid as grid_mod
-from .core import HPoint, dilate, mul, point_to_json
+from .core import HPoint, dilate, mul, mul_coords, point_to_json
 from .horizontal import (
     build_map,
     cone_relation_residual,
     exp_center_of_gravity,
     horizontal_path,
     map_segments,
-    segment_residual,
+    segment_residuals,
 )
 from .simplex import (
     Barycentric,
@@ -41,7 +41,7 @@ from .simplex import (
     consistency_points,
     json_text,
     map_consistency,
-    sample_barycentric,
+    sample_weights,
     simplex_chain,
 )
 from .triangulation import CornerAssignment, export_mesh, triangulate_cube, triangulate_region
@@ -136,11 +136,8 @@ def cmd_hpath(args) -> int:
     p = HPoint(args.n, _parse_floats(getattr(args, "from"), dim, "--from"))
     q = HPoint(args.n, _parse_floats(args.to, dim, "--to"))
     path = horizontal_path(p, q)
-    terms = {}
-    for a, b in map_segments(path):
-        desc = SimplexDescriptor(Builder.AFFINE, (a, b), args.n)
-        terms[desc] = terms.get(desc, 0) + 1
-    chain = Chain(1, args.n, terms)
+    chain = sum((simplex_chain(SimplexDescriptor(Builder.AFFINE, ab, args.n))
+                 for ab in map_segments(path)), Chain(1, args.n))
     doc = chain_to_json(chain, {
         "kind": "path",
         "endpoints": [point_to_json(p), point_to_json(q)],
@@ -204,32 +201,22 @@ def _check_boundary(chain: Chain) -> dict:
 
 
 def _check_horizontality(doc: dict, chain: Chain, tol: float, faces: dict) -> dict:
-    worst = 0.0
-    count = 0
+    n = chain.n
+    segments = [np.empty((0, 2, 2 * n + 1))]
     if doc.get("kind") == "path" and chain.k == 1:
-        for desc in chain.terms:
-            a, b = desc.vertices
-            scale = 1.0 + max(max(abs(c) for c in a.w), max(abs(c) for c in b.w))
-            worst = max(worst, abs(segment_residual(a, b)) / scale)
-            count += 1
+        segments += [np.array([[v.w for v in desc.vertices]]) for desc in chain.terms]
     else:
         for desc in chain.terms:
-            if desc.builder is not Builder.HYBRID and desc.builder is not Builder.HORIZONTAL_PATH:
-                continue
-            m = build_map(desc, faces)
-            maps = [m]
-            if desc.builder is Builder.HYBRID and desc.k >= 2:
-                maps = [build_map(SimplexDescriptor(Builder.HYBRID, (u, v), desc.n), faces)
-                        for u, v in itertools.combinations(desc.vertices, 2)]
-            for edge in maps:
-                if edge.k != 1:
-                    continue
-                for a, b in map_segments(edge):
-                    scale = 1.0 + max(max(abs(c) for c in a.w), max(abs(c) for c in b.w))
-                    worst = max(worst, abs(segment_residual(a, b)) / scale)
-                    count += 1
+            if desc.builder is Builder.HYBRID:  # the horizontal layer is the 1-skeleton
+                segments += [build_map(SimplexDescriptor(Builder.HYBRID, edge, n), faces).images
+                             for edge in itertools.combinations(desc.vertices, 2)]
+            elif desc.builder is Builder.HORIZONTAL_PATH and desc.k == 1:
+                segments.append(build_map(desc, faces).images)
+    seg = np.concatenate(segments)
+    scaled = np.abs(segment_residuals(seg, n)) / (1.0 + np.abs(seg).max(axis=(1, 2), initial=0.0))
+    worst = float(scaled.max(initial=0.0))
     return {"name": "horizontality", "passed": worst <= tol, "residual": worst,
-            "detail": f"max scaled segment residual over {count} segments"}
+            "detail": f"max scaled segment residual over {len(seg)} segments"}
 
 
 def _check_cells(chain: Chain, tol: float, seed: int, faces: dict) -> dict:
@@ -257,19 +244,19 @@ def _check_equivariance(chain: Chain, seed: int, faces: dict) -> dict:
     for desc, _ in terms:
         if desc.k < 1:
             continue
+        n = desc.n
         r = float(rng.uniform(0.5, 2.0))
-        g = HPoint(desc.n, tuple(rng.uniform(-1.0, 1.0, 2 * desc.n + 1)))
-        base = build_map(desc, faces)
+        g = HPoint(n, tuple(rng.uniform(-1.0, 1.0, 2 * n + 1)))
         dil = build_map(SimplexDescriptor(desc.builder,
-                                          tuple(dilate(r, v) for v in desc.vertices), desc.n))
+                                          tuple(dilate(r, v) for v in desc.vertices), n))
         tra = build_map(SimplexDescriptor(desc.builder,
-                                          tuple(mul(g, v) for v in desc.vertices), desc.n))
-        for s in sample_barycentric(desc.k, 5, seed + 1):
-            ref = base.eval(s)
-            for other, img in ((dil, dilate(r, ref)), (tra, mul(g, ref))):
-                got = other.eval(s)
-                scale = 1.0 + max(abs(c) for c in img.w)
-                worst = max(worst, max(abs(a - b) for a, b in zip(got.w, img.w)) / scale)
+                                          tuple(mul(g, v) for v in desc.vertices), n))
+        s = sample_weights(desc.k, 5, seed + 1)
+        ref = build_map(desc, faces).eval_many(s)
+        dil_ref = np.concatenate([r * ref[:, : 2 * n], (r * r) * ref[:, 2 * n :]], axis=1)
+        for other, img in ((dil, dil_ref), (tra, mul_coords(g.w, ref, n))):
+            gap = np.abs(other.eval_many(s) - img).max(axis=1) / (1.0 + np.abs(img).max(axis=1))
+            worst = max(worst, float(gap.max()))
     return {"name": "equivariance_spot", "passed": worst <= 1e-9, "residual": worst,
             "detail": f"max relative deviation under dilation/translation on {len(terms)} terms"}
 

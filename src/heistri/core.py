@@ -31,12 +31,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 __all__ = [
     "HPoint",
     "LieVector",
     "AffineScalarField",
     "origin",
     "mul",
+    "mul_coords",
     "inv",
     "translate",
     "dilate",
@@ -49,7 +52,6 @@ __all__ = [
     "grad_h_affine",
     "on_same_orbit",
     "point_to_json",
-    "point_from_json",
 ]
 
 
@@ -113,16 +115,22 @@ def _require_same_n(a, b) -> None:
 # ============================================================
 
 
+def mul_coords(a, b, n: int) -> np.ndarray:
+    """The group product on coordinate arrays (last axis), broadcast; s sums
+    from 0.0 in j order, so every batch shape rounds like one product."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = a + b
+    s = 0.0
+    for j in range(n):
+        s = s + (a[..., j] * b[..., n + j] - a[..., n + j] * b[..., j])
+    out[..., 2 * n] += 0.5 * s
+    return out
+
+
 def mul(p: HPoint, q: HPoint) -> HPoint:
     """Group product p * q."""
     _require_same_n(p, q)
-    n = p.n
-    a, b = p.w, q.w
-    s = 0.0
-    for j in range(n):
-        s += a[j] * b[n + j] - a[n + j] * b[j]
-    w = tuple(a[i] + b[i] for i in range(2 * n)) + (a[2 * n] + b[2 * n] + 0.5 * s,)
-    return HPoint(n, w)
+    return HPoint(p.n, tuple(mul_coords(p.w, q.w, p.n).tolist()))
 
 
 def inv(p: HPoint) -> HPoint:
@@ -301,7 +309,3 @@ def on_same_orbit(p: HPoint, q: HPoint, tol: float = 1e-9) -> Tuple[bool, Option
 
 def point_to_json(p: HPoint) -> dict:
     return {"n": p.n, "w": list(p.w)}
-
-
-def point_from_json(d: dict) -> HPoint:
-    return HPoint(int(d["n"]), tuple(float(c) for c in d["w"]))

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HPoint, inv, mul
+from .core import HPoint, mul_coords
 from .simplex import (
     Builder,
     PLMap,
@@ -43,6 +43,7 @@ from .simplex import (
 
 __all__ = [
     "segment_residual",
+    "segment_residuals",
     "segment_is_horizontal",
     "horizontal_path",
     "exp_center_of_gravity",
@@ -54,15 +55,22 @@ __all__ = [
 ]
 
 
+def segment_residuals(seg, n: int) -> np.ndarray:
+    """Deviation from horizontality (exact form) of segments stacked as
+    (..., 2, 2n+1) arrays of (start, end) coordinates."""
+    seg = np.asarray(seg, dtype=float)
+    a, d = seg[..., 0, :], seg[..., 1, :] - seg[..., 0, :]
+    s = 0.0
+    for j in range(n):
+        s = s + (a[..., j] * d[..., n + j] - a[..., n + j] * d[..., j])
+    return d[..., 2 * n] - 0.5 * s
+
+
 def segment_residual(a: HPoint, b: HPoint) -> float:
     """Deviation of the segment a -> b from horizontality (exact form)."""
     if a.n != b.n:
         raise ValueError("group index mismatch")
-    n = a.n
-    s = 0.0
-    for j in range(n):
-        s += a.w[j] * (b.w[n + j] - a.w[n + j]) - a.w[n + j] * (b.w[j] - a.w[j])
-    return (b.w[2 * n] - a.w[2 * n]) - 0.5 * s
+    return float(segment_residuals((a.w, b.w), a.n))
 
 
 def segment_is_horizontal(a: HPoint, b: HPoint, tol: float = 1e-9) -> Tuple[bool, float]:
@@ -107,10 +115,11 @@ def horizontal_path(p: HPoint, q: HPoint) -> PLMap:
     if p.n != q.n:
         raise ValueError("group index mismatch")
     n = p.n
-    w = mul(inv(p), q)
+    pw, qw = np.array(p.w), np.array(q.w)
+    w = mul_coords(-pw, qw, n).tolist()  # negation is inv, and keeps -0.0
     scale = max(1.0, max(abs(c) for c in p.w), max(abs(c) for c in q.w))
-    horiz = tuple(0.0 if abs(c) <= _SNAP * scale else c for c in w.w[: 2 * n])
-    dt = w.w[2 * n]
+    horiz = tuple(0.0 if abs(c) <= _SNAP * scale else c for c in w[: 2 * n])
+    dt = w[2 * n]
     if abs(dt) <= _SNAP * scale * scale:
         dt = 0.0
 
@@ -130,10 +139,9 @@ def horizontal_path(p: HPoint, q: HPoint) -> PLMap:
             rel.append(tuple(nxt))
 
     if len(rel) == 1:
-        pts = [p, q]
+        pts = np.stack([pw, qw])
     else:
-        pts = [mul(p, HPoint(n, r)) for r in rel[:-1]] + [q]
-
+        pts = np.concatenate([mul_coords(pw, np.array(rel[:-1]), n), qw[None]])
     m = len(pts) - 1
     lengths = [math.dist(a[: 2 * n], b[: 2 * n]) for a, b in zip(rel, rel[1:])]
     total = math.fsum(lengths)
@@ -143,9 +151,9 @@ def horizontal_path(p: HPoint, q: HPoint) -> PLMap:
         acc = list(itertools.accumulate(lengths))
         breaks = [0.0] + [a / total for a in acc[:-1]] + [1.0]
     domain = np.array([((1.0 - u0, u0), (1.0 - u1, u1)) for u0, u1 in zip(breaks, breaks[1:])])
-    images = np.array([(a.w, b.w) for a, b in zip(pts, pts[1:])])
+    images = np.stack([pts[:-1], pts[1:]], axis=1)
     desc = SimplexDescriptor(Builder.HORIZONTAL_PATH, (p, q), n)
-    worst = max(abs(segment_residual(a, b)) for a, b in zip(pts, pts[1:]))
+    worst = float(np.abs(segment_residuals(images, n)).max())
     return PLMap(1, n, domain, images, desc, {"segments": m, "max_residual": worst})
 
 
@@ -270,17 +278,6 @@ def build_map(desc: SimplexDescriptor, faces: Optional[Faces] = None) -> PLMap:
     raise ValueError(f"unknown builder {desc.builder}")
 
 
-def _mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """core.mul on coordinate arrays (last axis), with the same arithmetic."""
-    a, b = np.broadcast_arrays(a, b)
-    out = a + b
-    s = 0.0
-    for j in range(n):
-        s = s + (a[..., j] * b[..., n + j] - a[..., n + j] * b[..., j])
-    out[..., 2 * n] += 0.5 * s
-    return out
-
-
 def cone_relation_residual(m: PLMap, apex: HPoint, samples: int = 4,
                            lambdas: Sequence[float] = (0.25, 0.5, 0.75),
                            seed: int = 7) -> float:
@@ -298,9 +295,9 @@ def cone_relation_residual(m: PLMap, apex: HPoint, samples: int = 4,
     q = np.array(apex.w)
     mu = sample_weights(m.k - 1, samples, seed)
     u = np.einsum("sv,cvd->csd", mu, m.images[:, :-1])
-    rel = _mul(-q, u, m.n)
+    rel = mul_coords(-q, u, m.n)
     lam = np.asarray(lambdas, dtype=float)[:, None, None, None]
-    expected = _mul(q, (1.0 - lam) * rel, m.n)
+    expected = mul_coords(q, (1.0 - lam) * rel, m.n)
     actual = (1.0 - lam) * u + lam * q
     return float(np.abs(expected - actual).max())
 

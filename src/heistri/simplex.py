@@ -72,10 +72,16 @@ class Barycentric:
         object.__setattr__(self, "s", tuple(float(c) for c in self.s))
         if len(self.s) != self.k + 1:
             raise ValueError(f"expected {self.k + 1} weights for k={self.k}")
-        if any(c < -BARY_TOL for c in self.s):
-            raise ValueError("barycentric weights must be nonnegative")
-        if abs(math.fsum(self.s) - 1.0) > BARY_TOL:
-            raise ValueError("barycentric weights must sum to 1")
+        _check_weights(np.array(self.s))
+
+
+def _check_weights(rows: np.ndarray) -> None:
+    """The rules of a point of Delta^k, on each row (last axis) of weights."""
+    # both comparisons are False for nan, and the sum is not finite for inf
+    if not rows.min(initial=0.0) >= -BARY_TOL:
+        raise ValueError("barycentric weights must be nonnegative")
+    if not np.abs(rows.sum(axis=-1) - 1.0).max(initial=0.0) <= BARY_TOL:
+        raise ValueError("barycentric weights must sum to 1")
 
 
 def barycentric_vertex(k: int, i: int) -> Barycentric:
@@ -230,11 +236,7 @@ class PLMap:
             raise ValueError("cell images do not match the cells or the group index")
         if not np.isfinite(images).all():
             raise ValueError("coordinates must be finite")
-        # both comparisons are False for NaN, and the sum is not finite for inf
-        if not domain.min() >= -BARY_TOL:
-            raise ValueError("barycentric weights must be nonnegative")
-        if not np.abs(domain.sum(axis=2) - 1.0).max() <= BARY_TOL:
-            raise ValueError("barycentric weights must sum to 1")
+        _check_weights(domain)
         self.k = k
         self.n = n
         self.domain = domain.view()
@@ -251,37 +253,47 @@ class PLMap:
             self._inv = np.linalg.inv(self.domain.transpose(0, 2, 1))
         return self._inv
 
-    def _coerce(self, s) -> Barycentric:
-        if not isinstance(s, Barycentric):
-            s = Barycentric(self.k, tuple(s))
-        if s.k != self.k:
-            raise ValueError("barycentric point has the wrong dimension")
-        return s
+    def _weights(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every cell's barycentric weights of every point, (P, cells, k+1),
+        and their minimum, (P, cells)."""
+        lam = np.matmul(self._inverse()[None], points[:, None, :, None])[..., 0]
+        # the minimum over slices is much faster than min() along a short last axis
+        low = lam[..., 0]
+        for i in range(1, self.k + 1):
+            low = np.minimum(low, lam[..., i])
+        return lam, low
 
-    def locate(self, s) -> Tuple[int, np.ndarray]:
-        """Return (cell index, cell barycentric weights) for a point."""
-        s = self._coerce(s)
-        lam = self._inverse() @ np.asarray(s.s)
-        mins = lam.min(axis=1)
-        inside = np.nonzero(mins >= -BARY_TOL)[0]
-        if inside.size:
-            ci = int(inside[0])
-        else:
-            ci = int(np.argmax(mins))
-            if mins[ci] < -1e-9:
-                raise ValueError("point is not covered by any cell")
-        return ci, lam[ci]
+    def eval_many(self, points: Sequence) -> np.ndarray:
+        """Images of Barycentric points or rows of k+1 weights, as (P, 2n+1).
+
+        The weights follow Barycentric's rules.  Each point goes to the
+        lowest-index cell containing it, else to the nearest cell within
+        1e-9; a point at a vertex of that cell returns the stored image.
+        """
+        rows = [p.s if isinstance(p, Barycentric) else p for p in points]
+        s = np.array(rows, dtype=float) if rows else np.empty((0, self.k + 1))
+        if s.ndim != 2 or s.shape[1] != self.k + 1:
+            raise ValueError("barycentric point has the wrong dimension")
+        _check_weights(s)
+        step = max(1, 65536 // len(self.domain))  # bounds the (step, cells, k+1) weights
+        return np.concatenate([self._interpolate(s[lo:lo + step])
+                               for lo in range(0, max(len(s), 1), step)])
+
+    def _interpolate(self, s: np.ndarray) -> np.ndarray:
+        lam, mins = self._weights(s)
+        inside = mins >= -BARY_TOL
+        cell = np.where(inside.any(axis=1), inside.argmax(axis=1), mins.argmax(axis=1))
+        at = np.arange(len(s))
+        if (mins[at, cell] < -1e-9).any():
+            raise ValueError("point is not covered by any cell")
+        out = (lam[at, cell][:, None, :] @ self.images[cell])[:, 0]
+        hit = (self.domain[cell] == s[:, None, :]).all(axis=2)
+        vertex = hit.any(axis=1)
+        out[vertex] = self.images[cell[vertex], hit[vertex].argmax(axis=1)]
+        return out
 
     def eval(self, s) -> HPoint:
-        s = self._coerce(s)
-        ci, lam = self.locate(s)
-        at_vertex = np.nonzero((self.domain[ci] == s.s).all(axis=1))[0]
-        if at_vertex.size:
-            return HPoint(self.n, tuple(self.images[ci, at_vertex[0]].tolist()))
-        return HPoint(self.n, tuple((lam @ self.images[ci]).tolist()))
-
-    def eval_many(self, points: Sequence) -> List[HPoint]:
-        return [self.eval(s) for s in points]
+        return HPoint(self.n, tuple(self.eval_many([s])[0].tolist()))
 
 
 # ============================================================
@@ -374,12 +386,7 @@ def map_consistency(m: PLMap, points: np.ndarray) -> Tuple[bool, float]:
     one cell have a single container, so the spread is exercised exactly
     on shared faces.
     """
-    # stacked matrix @ column products round exactly like eval's inverse @ point;
-    # the minimum over slices is much faster than min() along a short last axis
-    lam = np.matmul(m._inverse()[None], points[:, None, :, None])[..., 0]
-    low = lam[..., 0]
-    for i in range(1, m.k + 1):
-        low = np.minimum(low, lam[..., i])
+    lam, low = m._weights(points)
     inside = low >= -1e-9
     containers = inside.sum(axis=1)
     covered = bool((containers > 0).all())
@@ -572,9 +579,11 @@ def chain_from_json(doc: dict) -> Chain:
     ints, terms a list, each coordinate a float or an int in float range, and
     each term k+1 vertices.  A ValueError names the term index of a bad term."""
     k, n, doc_terms = doc["k"], doc["n"], doc["terms"]
-    for name, value in (("k", k), ("n", n)):
+    for name, value, low in (("k", k, -1), ("n", n, 1)):
         if type(value) is not int:  # bool is an int subclass; JSON would write true
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:  # k = -1 is the boundary of a 0-chain
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     if type(doc_terms) is not list:
         raise ValueError(f"terms must be a list, got {type(doc_terms).__name__}")
     terms: Dict[SimplexDescriptor, int] = {}

@@ -218,6 +218,27 @@ class TestBoundary:
         assert out == ""
         assert f"{field} must be an integer" in err
 
+    @pytest.mark.parametrize("command", ["boundary", "check"])
+    @pytest.mark.parametrize("field, value, low", [
+        ("n", 0, 1), ("n", -3, 1), ("k", -2, -1), ("k", -5, -1),
+    ])
+    def test_out_of_range_degree_or_group_index_rejected(self, capsys, monkeypatch,
+                                                          command, field, value, low):
+        doc = {"k": 2, "n": 1, "terms": []}  # no term whose vertices would catch it
+        doc[field] = value
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, command, "-")
+        assert rc == 2
+        assert out == ""
+        assert f"{field} must be at least {low}, got {value}" in err
+
+    def test_boundary_of_a_zero_chain_reads_back(self, capsys, tmp_path):
+        doc = run_json(capsys, "simplex", "--vertices", "1,2,3")
+        assert doc["k"] == 0
+        b1 = run_json(capsys, "boundary", write_doc(tmp_path, "p.json", doc))
+        b2 = run_json(capsys, "boundary", write_doc(tmp_path, "b.json", b1))
+        assert b1 == b2 == {"k": -1, "n": 1, "terms": []}
+
     @pytest.mark.parametrize("terms", [{}, {"0": 1}, "[]", None])
     def test_terms_that_are_not_a_list_rejected(self, capsys, monkeypatch, terms):
         doc = run_json(capsys, "triangulate", "--cube", "0,0,0")

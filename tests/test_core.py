@@ -25,9 +25,9 @@ from heistri import (
     koranyi_norm,
     log_map,
     mul,
+    mul_coords,
     on_same_orbit,
     origin,
-    point_from_json,
     point_to_json,
     translate,
     w_tilde,
@@ -40,6 +40,11 @@ def hpoints(n=1):
     return st.tuples(*([coord] * (2 * n + 1))).map(lambda w: HPoint(n, w))
 
 
+def bits(values):
+    """Exact float identities, telling -0.0 from 0.0."""
+    return [float(c).hex() for c in values]
+
+
 def close(a, b, tol=1e-12):
     return all(abs(x - y) <= tol for x, y in zip(a.w, b.w))
 
@@ -49,7 +54,41 @@ def close(a, b, tol=1e-12):
 # ============================================================
 
 
+def mul_reference(a, b, n):
+    """The group product as a plain-Python scalar formula: s summed from 0.0
+    in j order, then t = (a_t + b_t) + s/2."""
+    s = 0.0
+    for j in range(n):
+        s += a[j] * b[n + j] - a[n + j] * b[j]
+    return tuple(a[i] + b[i] for i in range(2 * n)) + (a[2 * n] + b[2 * n] + 0.5 * s,)
+
+
+wide = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, width=64)
+
+
+@st.composite
+def point_rows(draw):
+    """(n, a, list of b): one left factor and up to six right factors."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(*([wide] * (2 * n + 1)))
+    return n, draw(row), draw(st.lists(row, min_size=1, max_size=6))
+
+
 class TestProduct:
+    @given(point_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_is_the_scalar_formula_bit_for_bit(self, case):
+        n, a, rows = case
+        expected = [mul_reference(a, b, n) for b in rows]
+        assert [bits(mul(HPoint(n, a), HPoint(n, b)).w) for b in rows] == list(map(bits, expected))
+        # stacked rows, broadcast against one left factor, round the same way
+        stacked = mul_coords(np.array(a), np.array(rows), n)
+        assert [bits(row) for row in stacked.tolist()] == list(map(bits, expected))
+
+    def test_mul_keeps_the_sign_of_zero(self):
+        p = HPoint(1, (-0.0, 0.0, -0.0))
+        assert bits(mul(p, p).w) == bits(mul_reference(p.w, p.w, 1)) == bits((-0.0, 0.0, 0.0))
+
     def test_product_formula_n1(self):
         p = HPoint(1, (1.0, 0.0, 0.0))
         q = HPoint(1, (0.0, 1.0, 0.0))
@@ -400,10 +439,6 @@ class TestOrbit:
 
 
 class TestJson:
-    def test_round_trip(self):
-        p = HPoint(2, (0.1, 0.2, 0.3, 0.4, -0.5))
-        assert point_from_json(point_to_json(p)) == p
-
     def test_schema(self):
         d = point_to_json(HPoint(1, (1.0, 2.0, 0.5)))
         assert d == {"n": 1, "w": [1.0, 2.0, 0.5]}

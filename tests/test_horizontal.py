@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heistri import (
     Barycentric,
@@ -35,6 +37,7 @@ from heistri import (
     sample_barycentric,
     segment_is_horizontal,
     segment_residual,
+    segment_residuals,
     straight_simplex,
     translate,
 )
@@ -101,7 +104,36 @@ def pointwise_gap(m1, m2, k, samples=20, seed=3):
 # ============================================================
 
 
+def segment_residual_reference(a, b, n):
+    """The per-segment residual as a plain-Python scalar formula."""
+    s = 0.0
+    for j in range(n):
+        s += a[j] * (b[n + j] - a[n + j]) - a[n + j] * (b[j] - a[j])
+    return (b[2 * n] - a[2 * n]) - 0.5 * s
+
+
+@st.composite
+def stacked_segments(draw):
+    n = draw(st.integers(1, 3))
+    coord = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, width=64)
+    point = st.tuples(*([coord] * (2 * n + 1)))
+    return n, draw(st.lists(st.tuples(point, point), min_size=1, max_size=8))
+
+
 class TestSegmentResidual:
+    @given(stacked_segments())
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_residuals_are_the_scalar_formula_bit_for_bit(self, case):
+        n, segments = case
+        expected = [segment_residual_reference(a, b, n).hex() for a, b in segments]
+        got = segment_residuals(np.array(segments), n)
+        assert [float(r).hex() for r in got] == expected
+        # a (2, S, 2, 2n+1) batch: leading axes are free
+        doubled = np.array([segments, segments])
+        assert [float(r).hex() for r in segment_residuals(doubled, n).ravel()] == expected * 2
+        assert [segment_residual(HPoint(n, a), HPoint(n, b)).hex()
+                for a, b in segments] == expected
+
     def test_x_axis_motion(self):
         ok, res = segment_is_horizontal(origin(1), HPoint(1, (1.0, 0.0, 0.0)))
         assert ok and res == 0.0

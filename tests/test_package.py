@@ -1,5 +1,5 @@
-"""Package-wide guards: the bench tracer's targets exist, and no module
-imports a name it does not use.
+"""Package-wide guards: the bench tracer's targets exist, no module
+imports a name it does not use, and the README tour and the scripts run.
 
 bench/tracing.py wraps heistri functions by module and attribute name and
 silently drops a metric whose target is gone; its smoke test is not part
@@ -9,6 +9,10 @@ of this suite, so the names are checked here.
 import ast
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,22 @@ def names_imported(tree: ast.Module) -> set:
 def test_no_unused_imports(path):
     tree = ast.parse((PACKAGE / path).read_text())
     assert sorted(names_imported(tree) - names_used(tree)) == []
+
+
+def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    monkeypatch.chdir(tmp_path)  # the tour writes region.vtk
+    exec(compile(code, "README.md", "exec"), {})
+    assert "(1.0, 1.0, 0.5)\n" in capsys.readouterr().out
+    assert (tmp_path / "region.vtk").stat().st_size > 0
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

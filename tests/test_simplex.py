@@ -33,6 +33,7 @@ from heistri import (
     dilate,
     exp_map,
     face_map,
+    hybrid_simplex,
     inv,
     log_map,
     map_consistency,
@@ -44,7 +45,7 @@ from heistri import (
     straight_simplex,
     translate,
 )
-from heistri.simplex import json_text
+from heistri.simplex import json_text, sample_weights
 
 
 def rand_points(rng, n, count, lo=-5.0, hi=5.0):
@@ -327,6 +328,73 @@ class TestPLMap:
         a = HPoint(1, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="arity"):
             PLMap(1, 1, [[(1.0, 0.0)]], [[a.w]], SimplexDescriptor(Builder.AFFINE, (a,), 1))
+
+
+def eval_reference(m, s):
+    """One query located and interpolated per point, as PLMap.eval did before
+    the batch: inverse @ point per cell, the lowest-index cell with weights
+    >= -1e-12 (else the nearest), the stored image at a cell vertex."""
+    s = np.asarray(s, dtype=float)
+    lam = np.linalg.inv(m.domain.transpose(0, 2, 1)) @ s
+    mins = lam.min(axis=1)
+    inside = np.nonzero(mins >= -1e-12)[0]
+    ci = int(inside[0]) if inside.size else int(np.argmax(mins))
+    at_vertex = np.nonzero((m.domain[ci] == s).all(axis=1))[0]
+    if at_vertex.size:
+        return m.images[ci, at_vertex[0]].tolist()
+    return (lam[ci] @ m.images[ci]).tolist()
+
+
+def bits(values):
+    return [float(c).hex() for c in values]
+
+
+class TestEvalMany:
+    @pytest.mark.parametrize("builder, n, k", [
+        ("straight", 1, 3), ("straight", 2, 5), ("hybrid", 1, 1), ("hybrid", 1, 3),
+        ("hybrid", 2, 2), ("hybrid", 2, 5),
+    ])
+    def test_rows_are_eval_bit_for_bit(self, builder, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        m = (straight_simplex if builder == "straight" else hybrid_simplex)(rand_points(rng, n, k + 1))
+        center = np.full(k + 1, 1.0 / (k + 1))
+        # samples, vertices, edge midpoints, the apex of every hybrid piece and
+        # points on the spokes from a vertex to it, which pieces share
+        spokes = [(1.0 - u) * e + u * center for e in np.eye(k + 1) for u in (0.25, 0.5)]
+        points = np.concatenate([consistency_points(k, 30, seed=k), center[None], spokes])
+        got = m.eval_many(points)
+        assert got.shape == (len(points), 2 * n + 1)
+        for row, s in zip(got.tolist(), points):
+            assert bits(row) == bits(m.eval(tuple(s)).w) == bits(eval_reference(m, s))
+
+    def test_barycentric_points_and_weight_rows_agree(self):
+        m = hybrid_simplex(rand_points(np.random.default_rng(4), 1, 3))
+        rows = m.eval_many(sample_weights(2, 12, seed=5))
+        assert np.array_equal(m.eval_many(sample_barycentric(2, 12, seed=5)), rows)
+        assert m.eval_many([]).shape == (0, 3)
+
+    def test_nearest_cell_within_tolerance(self):
+        m = two_cell_segment()
+        left = PLMap(1, 1, m.domain[:1], m.images[:1], m.descriptor)  # covers [0, 1/2]
+        got = left.eval_many([(0.5 - 1e-10, 0.5 + 1e-10)])
+        assert np.abs(got - (1.0, 1.0, 0.0)).max() <= 1e-9
+
+    @pytest.mark.parametrize("points, message", [
+        ([(0.25, 0.25, 0.5)], "wrong dimension"),
+        ([barycenter(2)], "wrong dimension"),
+        ([(0.5, 0.5), (1.5, -0.5)], "nonnegative"),
+        ([(0.5, math.nan)], "nonnegative"),
+        ([(0.5, 0.5), (0.5, 0.6)], "sum to 1"),
+    ])
+    def test_invalid_weights_rejected(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            two_cell_segment().eval_many(points)
+
+    def test_uncovered_point_rejected(self):
+        m = two_cell_segment()
+        left = PLMap(1, 1, m.domain[:1], m.images[:1], m.descriptor)
+        with pytest.raises(ValueError, match="not covered"):
+            left.eval_many([(0.75, 0.25), (0.25, 0.75)])
 
 
 # ============================================================
