@@ -720,6 +720,56 @@ class TestGoldenBytes:
         assert residual["cell_consistency"] <= 1e-15
         assert residual["cone_relation"] <= 1e-15
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("--eps", "0.5", "--cube=-1,-2,-3", "--builder", "affine"),
+         "3c7fe4ff5960ec2245f3f38cca8f97d95e6e14425e766646ad941b108e77fb28"),
+        (("--eps", "0.5", "--cube=-1,-2,-3", "--builder", "straight"),
+         "abda8ed38c85a7dc2bcc193627f46228f8d13091d5350adfd4bf6c2c3cb681d2"),
+        (("--eps", "0.5", "--cube=-1,-2,-3", "--builder", "hybrid"),
+         "728039e0e99e7f2554065f78c1afeb8b1c7b9c40b23c2d68cb599c09a5b727a9"),
+        (("--n", "2", "--cube=0,-1,0,1,-1", "--builder", "hybrid"),
+         "3b1a02e3df2e93e7f9b560c8bfbd3ddf0c06105843657eb05ab9f9a637f0c70a"),
+    ])
+    def test_triangulate_cube(self, capsys, argv, digest):
+        assert self.sha(self.output(capsys, "triangulate", *argv)) == digest
+
+    def test_cube_boundary_vtk_refined(self, capsys, monkeypatch):
+        chain = self.output(capsys, "triangulate", "--cube=0,-1,0", "--builder", "hybrid")
+        monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+        bnd = self.output(capsys, "boundary", "-")
+        monkeypatch.setattr("sys.stdin", io.StringIO(bnd))
+        vtk = self.output(capsys, "export", "-", "--format", "vtk", "--samples", "3")
+        assert self.sha(vtk) == "82cf1f014adb69a7a6c2e4e6376874ccf69704c0d35c31f9f5960fe91a4625f5"
+
+    # two terms, coefficients -2 and +3, sharing an edge
+    SCALED = {"k": 2, "n": 1, "terms": [
+        {"coeff": -2, "builder": "straight",
+         "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.5]]},
+        {"coeff": 3, "builder": "hybrid",
+         "vertices": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [-1.0, 0.25, 0.0]]},
+    ]}
+    # the same point written as 0.0 and as -0.0; a mesh keeps the first spelling
+    SIGNED_ZERO = {"k": 2, "n": 1, "terms": [
+        {"coeff": 1, "builder": "affine",
+         "vertices": [[-0.0, 0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        {"coeff": -1, "builder": "affine",
+         "vertices": [[0.0, -0.0, 0.0], [0.0, -1.0, -0.0], [1.0, -0.0, 0.0]]},
+    ]}
+    EMPTY = {"k": 2, "n": 1, "terms": []}
+
+    @pytest.mark.parametrize("doc, fmt, samples, digest", [
+        ("SCALED", "obj", "1", "7109144b31805f7863c3e32962fa88a2ff2542724704193de1a1d94558a24f4c"),
+        ("SCALED", "obj", "2", "064d227421cc585fa29654a71f79a703c9413d4fc6e866b9c0a095f36af2889a"),
+        ("SIGNED_ZERO", "obj", "1", "382c79f857ac8353f28423f8dda6c60d047ffb55001ea2245a57f60165a13eba"),
+        ("SIGNED_ZERO", "vtk", "1", "d4bfdfba88a98bd6efeb195ab54a5168e771b82b2eea2a5b0059b08e1abb6111"),
+        ("EMPTY", "obj", "1", "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+        ("EMPTY", "vtk", "1", "57dad7f6b6197d43527cb26a9a3ed9415044b0786ed123852ca2a3ed5d3b8a41"),
+    ])
+    def test_export(self, capsys, monkeypatch, doc, fmt, samples, digest):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(getattr(self, doc))))
+        mesh = self.output(capsys, "export", "-", "--format", fmt, "--samples", samples)
+        assert self.sha(mesh) == digest
+
 
 # ============================================================
 # dispatch
