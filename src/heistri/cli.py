@@ -44,7 +44,7 @@ from .simplex import (
     sample_weights,
     simplex_chain,
 )
-from .triangulation import CornerAssignment, export_mesh, triangulate_cube, triangulate_region
+from .triangulation import export_mesh, triangulate_region
 
 __all__ = ["main"]
 
@@ -109,17 +109,14 @@ def cmd_triangulate(args) -> int:
         raise ValueError("--eps must be positive")
     dim = 2 * args.n + 1
     if args.cube is not None:
-        base = _parse_ints(args.cube, dim, "--cube")
-        tc = triangulate_cube(
-            CornerAssignment.from_cube(grid_mod.Cube(args.n, base, args.eps)), builder)
-        tc = tc.__class__(tc.chain, {"kind": "cube", "eps": args.eps,
-                                     "base": list(base)}, tc.builder)
+        lo = _parse_ints(args.cube, dim, "--cube")
+        hi = tuple(v + 1 for v in lo)
     else:
         lo = _parse_ints(args.box[0], dim, "--box lower corner")
         hi = _parse_ints(args.box[1], dim, "--box upper corner")
-        tc = triangulate_region(args.n, args.eps, lo, hi, builder)
-    doc = chain_to_json(tc.chain, {"provenance": tc.provenance,
-                                   "builder": tc.builder.value})
+    tc = triangulate_region(args.n, args.eps, lo, hi, builder)
+    prov = {"kind": "cube", "eps": args.eps, "base": list(lo)} if args.cube else tc.provenance
+    doc = chain_to_json(tc.chain, {"provenance": prov, "builder": builder.value})
     _write_text(args.output, json_text(doc))
     return 0
 
@@ -223,7 +220,7 @@ def _check_cells(chain: Chain, tol: float, seed: int, faces: dict) -> dict:
     worst = 0.0
     covered = True
     points = {}
-    for desc, _ in chain.items_sorted():
+    for desc in chain.terms:
         if desc.k < 1:
             continue
         if desc.k not in points:

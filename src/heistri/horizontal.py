@@ -278,9 +278,10 @@ def build_map(desc: SimplexDescriptor, faces: Optional[Faces] = None) -> PLMap:
     raise ValueError(f"unknown builder {desc.builder}")
 
 
-def cone_relation_residual(m: PLMap, apex: HPoint, samples: int = 4,
-                           lambdas: Sequence[float] = (0.25, 0.5, 0.75),
-                           seed: int = 7) -> float:
+_CONE_SAMPLES, _CONE_SEED, _CONE_LAMBDAS = 4, 7, (0.25, 0.5, 0.75)  # samples, seed, blend weights
+
+
+def cone_relation_residual(m: PLMap, apex: HPoint) -> float:
     """Largest deviation from the straight-layer cone relation.
 
     Every cell is expected to have the apex as its last vertex.  For base
@@ -293,10 +294,10 @@ def cone_relation_residual(m: PLMap, apex: HPoint, samples: int = 4,
     if not (m.images[:, -1] == apex.w).all():
         raise ValueError("cell does not end at the apex")
     q = np.array(apex.w)
-    mu = sample_weights(m.k - 1, samples, seed)
+    mu = sample_weights(m.k - 1, _CONE_SAMPLES, _CONE_SEED)
     u = np.einsum("sv,cvd->csd", mu, m.images[:, :-1])
     rel = mul_coords(-q, u, m.n)
-    lam = np.asarray(lambdas, dtype=float)[:, None, None, None]
+    lam = np.array(_CONE_LAMBDAS)[:, None, None, None]
     expected = mul_coords(q, (1.0 - lam) * rel, m.n)
     actual = (1.0 - lam) * u + lam * q
     return float(np.abs(expected - actual).max())

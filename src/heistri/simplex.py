@@ -8,8 +8,8 @@ barycentric point and interpolates that cell's images coordinatewise.
 Identity of simplexes for chain arithmetic is the SimplexDescriptor
 (builder tag, ordered vertex tuple, group index).  Two terms cancel only
 when their descriptors compare equal, so triangulation code must produce
-vertex coordinates bit for bit identically for shared faces; see
-triangulation.CornerAssignment for how grids guarantee that.
+vertex coordinates bit for bit identically for shared faces; grids do so
+by building one point per integer lattice point (triangulation.triangulate_region).
 
 Boundaries are combinatorial: the i-th face of a descriptor drops vertex i
 with sign (-1)^i, so d(d(chain)) = 0 holds exactly over the integers.
@@ -69,19 +69,27 @@ class Barycentric:
     s: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "s", tuple(float(c) for c in self.s))
-        if len(self.s) != self.k + 1:
+        s = _check_weights(self.s)
+        if s.shape != (self.k + 1,):
             raise ValueError(f"expected {self.k + 1} weights for k={self.k}")
-        _check_weights(np.array(self.s))
+        object.__setattr__(self, "s", tuple(s.tolist()))
 
 
-def _check_weights(rows: np.ndarray) -> None:
-    """The rules of a point of Delta^k, on each row (last axis) of weights."""
+def _check_weights(rows) -> np.ndarray:
+    """Each row (last axis) of weights, checked against the rules of a point of
+    Delta^k, as a float array.  "0.5", True, None and a bool among floats,
+    which np.array(..., dtype=float) would read as numbers, are refused."""
+    s = np.asarray(rows)
+    if s.dtype.kind not in "iuf" or not isinstance(rows, np.ndarray) and any(
+            isinstance(c, (bool, np.bool_)) for c in np.array(rows, dtype=object).flat):
+        raise ValueError("barycentric weights must be ints or floats")
+    s = s.astype(float, copy=False)
     # both comparisons are False for nan, and the sum is not finite for inf
-    if not rows.min(initial=0.0) >= -BARY_TOL:
+    if not s.min(initial=0.0) >= -BARY_TOL:
         raise ValueError("barycentric weights must be nonnegative")
-    if not np.abs(rows.sum(axis=-1) - 1.0).max(initial=0.0) <= BARY_TOL:
+    if not np.abs(s.sum(axis=-1) - 1.0).max(initial=0.0) <= BARY_TOL:
         raise ValueError("barycentric weights must sum to 1")
+    return s
 
 
 def barycentric_vertex(k: int, i: int) -> Barycentric:
@@ -271,10 +279,9 @@ class PLMap:
         1e-9; a point at a vertex of that cell returns the stored image.
         """
         rows = [p.s if isinstance(p, Barycentric) else p for p in points]
-        s = np.array(rows, dtype=float) if rows else np.empty((0, self.k + 1))
+        s = _check_weights(rows) if rows else np.empty((0, self.k + 1))
         if s.ndim != 2 or s.shape[1] != self.k + 1:
             raise ValueError("barycentric point has the wrong dimension")
-        _check_weights(s)
         step = max(1, 65536 // len(self.domain))  # bounds the (step, cells, k+1) weights
         return np.concatenate([self._interpolate(s[lo:lo + step])
                                for lo in range(0, max(len(s), 1), step)])

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from .core import HPoint
 from .grid import Cube, grid_cover
@@ -163,58 +166,56 @@ class TriangulationChain:
     builder: Builder
 
 
-_TRIANGULATION_BUILDERS = (Builder.AFFINE, Builder.STRAIGHT, Builder.HYBRID)
+def _kuhn_chain(k: int, n: int, builder: Builder, cubes: Iterable[Dict[Bits, HPoint]]) -> Chain:
+    """The sum of the k! signed simplexes of each cube (corner bits -> point)."""
+    if builder not in (Builder.AFFINE, Builder.STRAIGHT, Builder.HYBRID):
+        raise ValueError(f"builder {builder.value} is not a triangulation builder")
+    if builder is Builder.HYBRID and k > 2 * n + 1:
+        raise ValueError("dimension exceeds 2n+1")
+    terms: Dict[SimplexDescriptor, int] = {}
+    for point in cubes:
+        for s, sign in _kuhn_maps(k):
+            desc = SimplexDescriptor(builder, tuple(point[bits] for bits in s.seq), n)
+            terms[desc] = terms.get(desc, 0) + sign
+    return Chain(k, n, terms)
 
 
 def triangulate_cube(corners: CornerAssignment, builder: Builder) -> TriangulationChain:
     """The signed chain of k! simplexes cutting the corner cube."""
     builder = Builder(builder)
-    if builder not in _TRIANGULATION_BUILDERS:
-        raise ValueError(f"builder {builder.value} is not a triangulation builder")
-    k = corners.k
-    if builder is Builder.HYBRID and k > 2 * corners.n + 1:
-        raise ValueError("dimension exceeds 2n+1")
-    point = dict(corners.corners)
-    terms: Dict[SimplexDescriptor, int] = {}
-    for s, sign in _kuhn_maps(k):
-        desc = SimplexDescriptor(builder, tuple(point[bits] for bits in s.seq), corners.n)
-        terms[desc] = terms.get(desc, 0) + sign
-    chain = Chain(k, corners.n, terms)
-    return TriangulationChain(chain, {"kind": "cube", "k": k}, builder)
+    chain = _kuhn_chain(corners.k, corners.n, builder, [dict(corners.corners)])
+    return TriangulationChain(chain, {"kind": "cube", "k": corners.k}, builder)
 
 
 def triangulate_region(n: int, eps: float, lo: Sequence[int], hi: Sequence[int],
                        builder: Builder) -> TriangulationChain:
     """Sum of cube triangulations over the integer box [lo, hi).
 
-    Every cube's terms are added into one dict and a single Chain is built
-    at the end, so the merge is linear in the number of terms.  Shared
-    faces of adjacent cubes carry bit-identical vertex tuples, so their
-    boundary terms cancel exactly, and the result does not depend on the
-    order of the cubes.
+    Each lattice point becomes one HPoint, eps * (integer sum) as in
+    Cube.corner, shared by every cube around it, so shared faces carry
+    identical vertices and cancel exactly in the boundary.  All terms go
+    into one dict and a single Chain, so the merge is linear in the number
+    of terms and does not depend on the order of the cubes.
     """
     builder = Builder(builder)
     cubes = grid_cover(n, eps, lo, hi)
-    terms: Dict[SimplexDescriptor, int] = {}
-    for cube in cubes:
-        part = triangulate_cube(CornerAssignment.from_cube(cube), builder).chain
-        for desc, coeff in part.terms.items():
-            terms[desc] = terms.get(desc, 0) + coeff
-    total = Chain(2 * n + 1, n, terms)
+    offsets = list(itertools.product((0, 1), repeat=2 * n + 1))
+
+    @functools.lru_cache(maxsize=None)  # one HPoint per lattice point
+    def point(key: Tuple[int, ...]) -> HPoint:
+        return HPoint(n, tuple(eps * v for v in key))
+
+    chain = _kuhn_chain(2 * n + 1, n, builder, (
+        {bits: point(tuple(map(operator.add, cube.base, bits))) for bits in offsets}
+        for cube in cubes))
     prov = {"kind": "region", "eps": eps, "lo": [int(v) for v in lo],
             "hi": [int(v) for v in hi], "cubes": len(cubes)}
-    return TriangulationChain(total, prov, builder)
+    return TriangulationChain(chain, prov, builder)
 
 
 # ============================================================
 # mesh export
 # ============================================================
-
-
-def _as_chain(t: Union[TriangulationChain, Chain]) -> Tuple[Chain, Optional[dict]]:
-    if isinstance(t, TriangulationChain):
-        return t.chain, {"provenance": t.provenance, "builder": t.builder.value}
-    return t, None
 
 
 def _triangle_lattice(s: int):
@@ -231,23 +232,8 @@ def _triangle_lattice(s: int):
     return bary, tris
 
 
-def _sampled_cells(chain: Chain, samples: int, dim: int):
-    """Yield (coeff, vertex coordinate tuples) per output cell, deterministically."""
-    refine = dim == 2 and samples > 1
-    if refine:
-        bary, tris = _triangle_lattice(samples)
-    faces = {}
-    for desc, coeff in chain.items_sorted():
-        m = build_map(desc, faces)
-        for cell in m.images.tolist():
-            if refine:
-                # summed left to right from 0.0, as sum() does before Python 3.12
-                pts = [tuple(0.0 + b0 * c0 + b1 * c1 + b2 * c2 for c0, c1, c2 in zip(*cell))
-                       for b0, b1, b2 in bary]
-                for tri in tris:
-                    yield coeff, [pts[i] for i in tri]
-            else:
-                yield coeff, [tuple(p) for p in cell]
+# the most cells export_mesh writes; a hybrid 16^3 box has about 1.4 million
+_MAX_MESH_CELLS = 2 ** 22
 
 
 def export_mesh(t: Union[TriangulationChain, Chain], format: str,
@@ -255,15 +241,19 @@ def export_mesh(t: Union[TriangulationChain, Chain], format: str,
     """Serialize a chain as OBJ triangles, a legacy VTK grid, or JSON.
 
     OBJ needs n=1 (three ambient coordinates) and a 2-chain; VTK needs n=1
-    and a 2- or 3-chain (cell types 5 and 10).  Negative coefficients flip
-    the cell orientation.  samples_per_edge refines triangles only.
+    and a 2- or 3-chain (cell types 5 and 10).  A cell is written |coeff|
+    times, flipped when coeff < 0, and more than 2**22 cells are refused.
+    samples_per_edge refines triangles only.  Equal coordinates (0.0 and
+    -0.0 alike) are one vertex, spelled as first seen.
     """
-    chain, extra = _as_chain(t)
+    chain = t.chain if isinstance(t, TriangulationChain) else t
     fmt = format.lower()
     if samples_per_edge < 1:
         raise ValueError("samples_per_edge must be >= 1")
 
     if fmt == "json":
+        extra = ({"provenance": t.provenance, "builder": t.builder.value}
+                 if isinstance(t, TriangulationChain) else None)
         return json_text(chain_to_json(chain, extra)).encode()
 
     if chain.n != 1:
@@ -276,40 +266,43 @@ def export_mesh(t: Union[TriangulationChain, Chain], format: str,
         raise ValueError("VTK export needs a 2-chain or 3-chain")
     if chain.k == 3 and samples_per_edge > 1:
         raise ValueError("samples_per_edge > 1 is implemented for triangles only")
+    if fmt not in ("obj", "vtk"):
+        raise ValueError(f"unknown format {format!r}")
 
-    vert_index: Dict[Tuple[float, ...], int] = {}
-    verts: List[Tuple[float, ...]] = []
-    cells: List[Tuple[int, ...]] = []
+    k = chain.k
+    faces = {}
+    items = chain.items_sorted()
+    images = [build_map(desc, faces).images for desc, _ in items]
+    count = samples_per_edge ** 2 * sum(abs(c) * len(m) for (_, c), m in zip(items, images))
+    if count > _MAX_MESH_CELLS:
+        raise ValueError(f"the mesh would have {count} cells; export writes at most "
+                         f"{_MAX_MESH_CELLS}")
+    cells = np.concatenate(images) if images else np.empty((0, k + 1, 3))
+    coeffs = np.repeat([c for _, c in items], [len(m) for m in images]).astype(np.int64)
+    if samples_per_edge > 1 and count:  # an empty mesh builds no s^2 lattice
+        bary, tris = _triangle_lattice(samples_per_edge)
+        b = np.array(bary)[:, :, None]
+        pts = 0.0  # summed left to right from 0.0, as the earlier per-point sum() did
+        for i in range(3):
+            pts = pts + b[:, i] * cells[:, None, i]
+        cells = pts[:, np.array(tris)].reshape(-1, 3, 3)
+        coeffs = np.repeat(coeffs, len(tris))
 
-    def vid(p: Tuple[float, ...]) -> int:
-        got = vert_index.get(p)
-        if got is None:
-            got = len(verts)
-            vert_index[p] = got
-            verts.append(p)
-        return got
-
-    for coeff, imgs in _sampled_cells(chain, samples_per_edge, chain.k):
-        ids = [vid(p) for p in imgs]
-        if coeff < 0:
-            ids[0], ids[1] = ids[1], ids[0]
-        for _ in range(abs(coeff)):
-            cells.append(tuple(ids))
-
+    index: Dict[Tuple[float, ...], int] = {}
+    ids = np.array([index.setdefault(p, len(index))
+                    for p in map(tuple, cells.reshape(-1, 3).tolist())],
+                   dtype=np.int64).reshape(-1, k + 1)
+    flip = coeffs < 0
+    ids[flip, :2] = ids[flip, 1::-1]
+    ids = np.repeat(ids, np.abs(coeffs), axis=0)
+    verts = [f"{p[0]!r} {p[1]!r} {p[2]!r}" for p in index]
     if fmt == "obj":
-        lines = [f"v {p[0]!r} {p[1]!r} {p[2]!r}" for p in verts]
-        lines += ["f " + " ".join(str(i + 1) for i in ids) for ids in cells]
-        return ("\n".join(lines) + "\n").encode()
-
-    if fmt == "vtk":
-        ctype = 5 if chain.k == 2 else 10
+        lines = [*("v " + v for v in verts),
+                 *("f " + " ".join(map(str, row)) for row in (ids + 1).tolist())]
+    else:
         lines = ["# vtk DataFile Version 3.0", "heistri mesh", "ASCII",
-                 "DATASET UNSTRUCTURED_GRID", f"POINTS {len(verts)} double"]
-        lines += [f"{p[0]!r} {p[1]!r} {p[2]!r}" for p in verts]
-        lines.append(f"CELLS {len(cells)} {len(cells) * (chain.k + 2)}")
-        lines += [f"{len(ids)} " + " ".join(str(i) for i in ids) for ids in cells]
-        lines.append(f"CELL_TYPES {len(cells)}")
-        lines += [str(ctype)] * len(cells)
-        return ("\n".join(lines) + "\n").encode()
-
-    raise ValueError(f"unknown format {format!r}")
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {len(verts)} double", *verts,
+                 f"CELLS {len(ids)} {len(ids) * (k + 2)}",
+                 *(f"{k + 1} " + " ".join(map(str, row)) for row in ids.tolist()),
+                 f"CELL_TYPES {len(ids)}", *[str(5 if k == 2 else 10)] * len(ids)]
+    return ("\n".join(lines) + "\n").encode()

@@ -648,6 +648,32 @@ class TestExport:
         assert rc == 2
         assert "samples_per_edge" in err
 
+    # never run against code without the cell bound: it builds these meshes
+    # until memory runs out
+    @pytest.mark.parametrize("coeff, samples, cells", [
+        (1, "1000000", 12 * 10 ** 12), (10 ** 12, "1", 10 ** 12 + 11),
+        (2 ** 22 - 10, "1", 2 ** 22 + 1),
+    ])
+    def test_oversize_mesh_rejected(self, capsys, monkeypatch, coeff, samples, cells):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        bnd = run_json(capsys, "boundary", "-")
+        bnd["terms"][0]["coeff"] *= coeff
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bnd)))
+        rc, out, err = run_cli(capsys, "export", "-", "--format", "vtk", "--samples", samples)
+        assert (rc, out) == (2, "")
+        assert f"{cells} cells" in err and str(2 ** 22) in err
+
+    @pytest.mark.parametrize("fmt", ["obj", "vtk"])
+    def test_empty_chain_writes_headers_at_any_sampling(self, capsys, monkeypatch, fmt):
+        meshes = []
+        for samples in ("1", "1000000"):
+            monkeypatch.setattr("sys.stdin", io.StringIO('{"k": 2, "n": 1, "terms": []}'))
+            rc, out, err = run_cli(capsys, "export", "-", "--format", fmt, "--samples", samples)
+            assert (rc, err) == (0, "")
+            meshes.append(out)
+        assert meshes[0] == meshes[1]
+
     def test_unknown_format_is_usage_error(self, capsys, tmp_path):
         path = write_doc(tmp_path, "tri.json", self.triangle_doc(capsys))
         with pytest.raises(SystemExit) as exc:

@@ -102,6 +102,20 @@ class TestBarycentric:
         with pytest.raises(ValueError):
             Barycentric(1, (0.7, 0.7))
 
+    @pytest.mark.parametrize("weights", [
+        ("0.25", "0.75"), (True, False), (0.0, True), (None, 1.0), np.array([True, False]),
+    ])
+    def test_non_numeric_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="ints or floats"):
+            Barycentric(1, weights)
+
+    @pytest.mark.parametrize("weights", [(1, 0), (0.25, 0.75), np.array([0.25, 0.75]),
+                                         np.array([0, 1])])
+    def test_numeric_weights_accepted_as_floats(self, weights):
+        b = Barycentric(1, weights)
+        assert all(type(c) is float for c in b.s)
+        assert b.s == tuple(float(c) for c in weights)
+
     def test_barycenter(self):
         b = barycenter(2)
         assert all(c == pytest.approx(1.0 / 3.0, abs=1e-15) for c in b.s)
@@ -389,6 +403,30 @@ class TestEvalMany:
     def test_invalid_weights_rejected(self, points, message):
         with pytest.raises(ValueError, match=message):
             two_cell_segment().eval_many(points)
+
+    @pytest.mark.parametrize("points", [
+        [("0.5", "0.5")], [(0.5, 0.5), (1.0, False)], [(None, 1.0)], [(True, False)],
+        np.array([[True, False]]), [np.array([0.5, 0.5]), np.array([True, False])],
+    ])
+    def test_non_numeric_weights_rejected(self, points):
+        m = two_cell_segment()
+        with pytest.raises(ValueError, match="ints or floats"):
+            m.eval_many(points)
+        with pytest.raises(ValueError, match="ints or floats"):
+            m.eval(points[-1])
+
+    @pytest.mark.parametrize("row", [("1e0", False), (0.5, True), ("0.5", 0.5)])
+    def test_eval_does_not_coerce(self, row):
+        with pytest.raises(ValueError, match="ints or floats"):
+            two_cell_segment().eval(row)
+
+    def test_int_rows_and_numeric_arrays_accepted(self):
+        m = two_cell_segment()
+        want = m.eval_many([(1.0, 0.0), (0.0, 1.0)])
+        for points in ([(1, 0), (0, 1)], np.array([[1, 0], [0, 1]]),
+                       np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)):
+            assert np.array_equal(m.eval_many(points), want)
+        assert m.eval((1, 0)) == m.eval((1.0, 0.0))
 
     def test_uncovered_point_rejected(self):
         m = two_cell_segment()

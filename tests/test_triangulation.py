@@ -374,6 +374,17 @@ class TestTriangulateRegion:
         # the box surface has 10 unit faces, two triangles each
         assert len(b) == 20
 
+    @pytest.mark.parametrize("n, eps, lo, hi", [
+        (1, 0.25, (2, -1, 0), (4, 1, 1)), (1, 0.1, (-3, 0, 5), (-1, 1, 7)),
+        (2, 0.5, (0, -1, 0, 0, -1), (1, 1, 1, 1, 0)),
+    ])
+    def test_each_lattice_point_is_one_point_at_its_corner(self, n, eps, lo, hi):
+        r = triangulate_region(n, eps, lo, hi, Builder.STRAIGHT)
+        corners = {cube.corner(bits).w for cube in grid_cover(n, eps, lo, hi)
+                   for bits in itertools.product((0, 1), repeat=2 * n + 1)}
+        vertices = {id(v): v.w for desc in r.chain.terms for v in desc.vertices}
+        assert sorted(vertices.values()) == sorted(corners)  # one object per point
+
     def test_block_boundary_term_count(self):
         r = triangulate_region(1, 1.0, (0, 0, 0), (2, 2, 2), Builder.STRAIGHT)
         assert len(r.chain) == 48
@@ -497,6 +508,73 @@ class TestExportMesh:
         doc = json.loads(export_mesh(t.chain, "json").decode())
         assert "provenance" not in doc
         assert chain_from_json(doc) == t.chain
+
+
+def reference_mesh(chain, fmt, samples):
+    """The per-cell export loop export_mesh replaced, kept as its reference."""
+    bary = tris = None
+    if samples > 1:
+        points = [(i, j) for i in range(samples + 1) for j in range(samples + 1 - i)]
+        vid = {p: idx for idx, p in enumerate(points)}
+        tris = []
+        for i in range(samples):
+            for j in range(samples - i):
+                tris.append((vid[i, j], vid[i + 1, j], vid[i, j + 1]))
+                if i + j <= samples - 2:
+                    tris.append((vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]))
+        bary = [((samples - i - j) / samples, i / samples, j / samples) for i, j in points]
+    index, cells, faces = {}, [], {}
+    for desc, coeff in chain.items_sorted():
+        for cell in build_map(desc, faces).images.tolist():
+            if tris:
+                pts = [tuple(0.0 + b0 * c0 + b1 * c1 + b2 * c2 for c0, c1, c2 in zip(*cell))
+                       for b0, b1, b2 in bary]
+                pieces = [[pts[i] for i in tri] for tri in tris]
+            else:
+                pieces = [[tuple(p) for p in cell]]
+            for piece in pieces:
+                ids = [index.setdefault(p, len(index)) for p in piece]
+                if coeff < 0:
+                    ids[0], ids[1] = ids[1], ids[0]
+                cells += [ids] * abs(coeff)
+    verts = [" ".join(map(repr, p)) for p in index]
+    if fmt == "obj":
+        lines = ["v " + v for v in verts] + ["f " + " ".join(str(i + 1) for i in c) for c in cells]
+    else:
+        lines = ["# vtk DataFile Version 3.0", "heistri mesh", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {len(verts)} double"] + verts
+        lines += [f"CELLS {len(cells)} {len(cells) * (chain.k + 2)}"]
+        lines += [f"{len(c)} " + " ".join(map(str, c)) for c in cells]
+        lines += [f"CELL_TYPES {len(cells)}"] + [str(5 if chain.k == 2 else 10)] * len(cells)
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestExportMeshReference:
+    @staticmethod
+    def surfaces():
+        rng = np.random.default_rng(3)
+        for builder in (Builder.AFFINE, Builder.STRAIGHT, Builder.HYBRID):
+            bnd = boundary(triangulate_region(1, 0.5, (-1, 0, 0), (1, 1, 1), builder).chain)
+            yield bnd
+            yield Chain(2, 1, {d: int(rng.integers(-3, 4)) or 2 for d in bnd.terms})
+        yield chain_from_json({"k": 2, "n": 1, "terms": [
+            {"coeff": 2, "builder": "hybrid", "vertices": [[0.0, -0.0, 0.0], [-0.0, 1.0, -0.0],
+                                                           [1.0, 0.0, -0.5]]},
+            {"coeff": -1, "builder": "affine", "vertices": [[-0.0, 0.0, -0.0], [1.0, 0.0, -0.5],
+                                                            [0.0, -1.0, 0.0]]}]})
+        yield Chain(2, 1)
+
+    @pytest.mark.parametrize("fmt", ["obj", "vtk"])
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_surfaces_match_the_per_cell_loop(self, fmt, samples):
+        for chain in self.surfaces():
+            assert export_mesh(chain, fmt, samples) == reference_mesh(chain, fmt, samples)
+
+    @pytest.mark.parametrize("builder", [Builder.AFFINE, Builder.STRAIGHT, Builder.HYBRID])
+    def test_solids_match_the_per_cell_loop(self, builder):
+        solid = triangulate_region(1, 0.5, (-1, 0, -1), (1, 1, 1), builder).chain
+        for chain in (solid, solid.scale(-2), Chain(3, 1)):
+            assert export_mesh(chain, "vtk") == reference_mesh(chain, "vtk", 1)
 
 
 class TestPipelineEquivariance:
