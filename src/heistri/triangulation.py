@@ -282,7 +282,7 @@ def export_mesh(t: Union[TriangulationChain, Chain], format: str,
     if samples_per_edge > 1 and count:  # an empty mesh builds no s^2 lattice
         bary, tris = _triangle_lattice(samples_per_edge)
         b = np.array(bary)[:, :, None]
-        pts = 0.0  # summed left to right from 0.0, as the earlier per-point sum() did
+        pts = 0.0  # from 0.0, left to right: refined coordinates depend on the order
         for i in range(3):
             pts = pts + b[:, i] * cells[:, None, i]
         cells = pts[:, np.array(tris)].reshape(-1, 3, 3)
