@@ -37,7 +37,7 @@ from .simplex import (
     SimplexDescriptor,
     boundary,
     chain_from_json,
-    chain_to_json,
+    chain_text,
     consistency_points,
     json_text,
     map_consistency,
@@ -90,10 +90,13 @@ def _write_bytes(path: str, blob: bytes) -> None:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:  # raised by json for arrays or objects nested too deeply
+        raise ValueError("malformed JSON input (nested too deeply)") from None
 
 
 # ============================================================
@@ -116,15 +119,14 @@ def cmd_triangulate(args) -> int:
         hi = _parse_ints(args.box[1], dim, "--box upper corner")
     tc = triangulate_region(args.n, args.eps, lo, hi, builder)
     prov = {"kind": "cube", "eps": args.eps, "base": list(lo)} if args.cube else tc.provenance
-    doc = chain_to_json(tc.chain, {"provenance": prov, "builder": builder.value})
-    _write_text(args.output, json_text(doc))
+    _write_text(args.output, chain_text(tc.chain, {"provenance": prov, "builder": builder.value}))
     return 0
 
 
 def cmd_boundary(args) -> int:
     doc = _read_json(args.input)
     chain = chain_from_json(doc)
-    _write_text(args.output, json_text(chain_to_json(boundary(chain))))
+    _write_text(args.output, chain_text(boundary(chain)))
     return 0
 
 
@@ -135,12 +137,11 @@ def cmd_hpath(args) -> int:
     path = horizontal_path(p, q)
     chain = sum((simplex_chain(SimplexDescriptor(Builder.AFFINE, ab, args.n))
                  for ab in map_segments(path)), Chain(1, args.n))
-    doc = chain_to_json(chain, {
+    _write_text(args.output, chain_text(chain, {
         "kind": "path",
         "endpoints": [point_to_json(p), point_to_json(q)],
         "segments": path.meta["segments"],
-    })
-    _write_text(args.output, json_text(doc))
+    }))
     return 0
 
 
@@ -173,7 +174,7 @@ def cmd_simplex(args) -> int:
         point = m.eval(Barycentric(m.k, s))
         _write_text(args.output, json_text(point_to_json(point)))
     else:
-        _write_text(args.output, json_text(chain_to_json(simplex_chain(desc))))
+        _write_text(args.output, chain_text(simplex_chain(desc)))
     return 0
 
 
@@ -201,7 +202,7 @@ def _check_horizontality(doc: dict, chain: Chain, tol: float, faces: dict) -> di
     n = chain.n
     segments = [np.empty((0, 2, 2 * n + 1))]
     if doc.get("kind") == "path" and chain.k == 1:
-        segments += [np.array([[v.w for v in desc.vertices]]) for desc in chain.terms]
+        segments.append(chain.points[chain.ids])
     else:
         for desc in chain.terms:
             if desc.builder is Builder.HYBRID:  # the horizontal layer is the 1-skeleton

@@ -55,14 +55,23 @@ __all__ = [
 ]
 
 
-def _check_coords(n: int, w: Tuple[float, ...]) -> None:
+def _coords(n: int, w) -> Tuple[float, ...]:
+    """w as floats, checked: 2n+1 finite ints or floats ("1", True and None,
+    which float() would read as numbers, are refused)."""
     if n < 1:
         raise ValueError("group index must be >= 1")
+    w = tuple(w)
     if len(w) != 2 * n + 1:
         raise ValueError(f"expected {2 * n + 1} coordinates for n={n}, got {len(w)}")
-    for c in w:
-        if not math.isfinite(c):
-            raise ValueError("coordinates must be finite")
+    if set(map(type, w)) - {float}:  # all plain floats is the common case
+        for c in w:
+            if isinstance(c, (bool, np.bool_)) or not isinstance(c, (int, float, np.integer,
+                                                                     np.floating)):
+                raise ValueError(f"coordinates must be ints or floats, got {c!r}")
+        w = tuple(map(float, w))
+    if not all(map(math.isfinite, w)):
+        raise ValueError("coordinates must be finite")
+    return w
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,7 @@ class HPoint:
     w: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(float(c) for c in self.w))
-        _check_coords(self.n, self.w)
+        object.__setattr__(self, "w", _coords(self.n, self.w))
 
     @property
     def x(self) -> Tuple[float, ...]:
@@ -97,8 +105,7 @@ class LieVector:
     w: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(float(c) for c in self.w))
-        _check_coords(self.n, self.w)
+        object.__setattr__(self, "w", _coords(self.n, self.w))
 
 
 def origin(n: int) -> HPoint:

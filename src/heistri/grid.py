@@ -169,14 +169,20 @@ class RegularityReport:
 # ============================================================
 
 
-def grid_cover(n: int, eps: float, lo: Sequence[int], hi: Sequence[int]) -> List[Cube]:
-    """All grid cubes with base in the integer box [lo, hi)."""
+def _box(n: int, lo: Sequence[int], hi: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The corners of the integer box [lo, hi) as int tuples, checked."""
     lo = tuple(int(v) for v in lo)
     hi = tuple(int(v) for v in hi)
     if len(lo) != 2 * n + 1 or len(hi) != 2 * n + 1:
         raise ValueError(f"bounds must have {2 * n + 1} entries")
     if any(h < l for l, h in zip(lo, hi)):
         raise ValueError("box upper bound lies below its lower bound")
+    return lo, hi
+
+
+def grid_cover(n: int, eps: float, lo: Sequence[int], hi: Sequence[int]) -> List[Cube]:
+    """All grid cubes with base in the integer box [lo, hi)."""
+    lo, hi = _box(n, lo, hi)
     ranges = [range(l, h) for l, h in zip(lo, hi)]
     return [Cube(n, base, eps) for base in itertools.product(*ranges)]
 

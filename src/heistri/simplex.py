@@ -5,14 +5,16 @@ tiling the standard simplex Delta^k, each cell carrying its own image
 vertices in the group.  Evaluation locates the cell containing a
 barycentric point and interpolates that cell's images coordinatewise.
 
-Identity of simplexes for chain arithmetic is the SimplexDescriptor
-(builder tag, ordered vertex tuple, group index).  Two terms cancel only
-when their descriptors compare equal, so triangulation code must produce
-vertex coordinates bit for bit identically for shared faces; grids do so
-by building one point per integer lattice point (triangulation.triangulate_region).
+A Chain holds its terms as arrays: a vertex table, the table rows of each
+term, a builder code and a coefficient.  Terms merge and cancel on integer
+keys, the builder code and each vertex's rank by coordinate value, so two
+terms cancel only when their builders and vertex coordinates agree
+exactly; grids share one table row per integer lattice point
+(triangulation.triangulate_region).  A SimplexDescriptor (builder, vertex
+tuple, group index) is built only where a map is built or Chain.terms read.
 
-Boundaries are combinatorial: the i-th face of a descriptor drops vertex i
-with sign (-1)^i, so d(d(chain)) = 0 holds exactly over the integers.
+Boundaries are combinatorial: the i-th face of a term drops vertex i with
+sign (-1)^i, so d(d(chain)) = 0 holds exactly over the integers.
 restrict_face computes the geometric counterpart on PLMaps by slicing the
 cell complex along a facet of Delta^k.
 """
@@ -25,7 +27,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "simplex_chain",
     "boundary",
     "json_text",
+    "chain_text",
     "chain_to_json",
     "chain_from_json",
 ]
@@ -165,10 +167,7 @@ class SimplexDescriptor:
     """Identity of a singular simplex: builder tag plus ordered vertices.
 
     Equality is exact tuple equality of the vertex coordinates; no
-    tolerance is applied anywhere in chain arithmetic.  The hash is
-    computed once, on construction, from the builder tag, the coordinate
-    tuples and n; it is process-local, so pickling drops it and an
-    unpickled copy computes it on first use.
+    tolerance is applied anywhere in chain arithmetic.
     """
 
     builder: Builder
@@ -181,23 +180,6 @@ class SimplexDescriptor:
         for v in self.vertices:
             if v.n != self.n:
                 raise ValueError("group index mismatch")
-        object.__setattr__(self, "_hash", self._compute_hash())
-
-    def _compute_hash(self) -> int:
-        return hash((self.builder.value, tuple(v.w for v in self.vertices), self.n))
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = self._compute_hash()
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
     @property
     def k(self) -> int:
@@ -210,9 +192,6 @@ class SimplexDescriptor:
             raise ValueError("cannot drop the only vertex")
         verts = self.vertices[:i] + self.vertices[i + 1 :]
         return SimplexDescriptor(self.builder, verts, self.n)
-
-    def sort_key(self):
-        return (self.builder.value, tuple(v.w for v in self.vertices))
 
 
 class PLMap:
@@ -434,16 +413,63 @@ def restrict_face(m: PLMap, i: int) -> PLMap:
 # ============================================================
 
 
-class Chain:
-    """Finite integer combination of simplex descriptors of one degree.
+# builder codes in Builder.value order, so sorting on the code sorts by name
+_BUILDERS = tuple(sorted(Builder, key=lambda b: b.value))
+_CODE = {b.value: code for code, b in enumerate(_BUILDERS)}
+MAX_TERMS = 2 ** 22  # the most terms a chain is built or read with
 
-    Zero coefficients are dropped on construction; the empty chain is the
-    zero element.  Degree -1 appears only as the boundary of a 0-chain.
+
+def _ints(values, factor=1) -> np.ndarray:
+    """Integer coefficients as int64, or as Python ints (dtype object) where
+    a sum or a product of `factor` of them could leave int64."""
+    try:
+        c = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+    if len(c) and np.abs(c.astype(float)).max() * float(min(factor, 2 ** 64)) >= 2.0 ** 62:
+        return c.astype(object)
+    return c
+
+
+def _value_rank(points: np.ndarray) -> np.ndarray:
+    """Each row's rank among the distinct rows, in lexicographic value order;
+    rows equal as numbers (0.0 == -0.0) share a rank."""
+    order = np.lexsort(points.T[::-1])
+    p = points[order]
+    rank = np.empty(len(points), np.int64)
+    rank[order] = np.cumsum(np.r_[True, (p[1:] != p[:-1]).any(axis=1)]) - 1
+    return rank
+
+
+def _term_order(rank: np.ndarray, ids: np.ndarray, codes: np.ndarray):
+    """A stable sort of terms by builder code, then vertex ranks, and the sorted
+    integer keys, (T, columns); packed mixed-radix into one column if it fits."""
+    base = int(rank.max(initial=0)) + 1
+    if len(_BUILDERS) * base ** ids.shape[1] >= 2 ** 63:
+        keys = np.column_stack([codes, rank[ids]]).astype(np.int64)
+        order = np.lexsort(keys.T[::-1])
+        return order, keys[order]
+    key = codes.astype(np.int64)
+    for col in ids.T:
+        key = key * base + rank[col]
+    order = np.argsort(key, kind="stable")
+    return order, key[order][:, None]
+
+
+class Chain:
+    """Finite integer combination of simplexes of one degree, held as arrays.
+
+    A vertex table `points` (V, 2n+1); per term, its vertex rows `ids`
+    (T, k+1), a builder code `codes` (Builder.value order) and `coeffs`,
+    int64 or, where that could overflow, Python ints.  `rank` numbers the
+    rows by value (0.0 == -0.0), so terms merge and sort on integer keys.
+    No term is zero, no two are equal, and each keeps the place and the
+    spelling it first came with, as in a dict.  `terms` is the chain as a
+    {SimplexDescriptor: coeff} dict, built on first use.  Degree -1 appears
+    only as the boundary of a 0-chain.
     """
 
     def __init__(self, k: int, n: int, terms: Optional[Dict[SimplexDescriptor, int]] = None):
-        self.k = k
-        self.n = n
         clean: Dict[SimplexDescriptor, int] = {}
         for desc, coeff in (terms or {}).items():
             if type(coeff) is not int:  # bool is an int subclass; JSON would write true
@@ -455,33 +481,74 @@ class Chain:
             if desc.n != n:
                 raise ValueError("group index mismatch")
             clean[desc] = coeff
-        self.terms = clean
+        points = np.array([v.w for d in clean for v in d.vertices], dtype=float).reshape(-1, 2 * n + 1)
+        vars(self).update(vars(Chain._of(
+            k, n, points, _value_rank(points), np.arange(len(points)).reshape(len(clean), k + 1),
+            np.array([_CODE[d.builder.value] for d in clean], dtype=np.int8),
+            _ints(list(clean.values())), merge=False)), _terms=clean)
+
+    @classmethod
+    def _of(cls, k, n, points, rank, ids, codes, coeffs, merge: bool = True) -> "Chain":
+        """The chain of the given arrays; with merge, equal terms are summed
+        and zeros dropped, each survivor where it first appeared."""
+        if merge and len(codes):
+            order, keys = _term_order(rank, ids, codes)
+            starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+            coeffs = np.add.reduceat(_ints(coeffs, np.diff(starts, append=len(order)).max())[order],
+                                     starts)
+            first = order[starts]  # the sort is stable: a group's first row comes first
+            live = np.flatnonzero(coeffs != 0)
+            live = live[np.argsort(first[live])]
+            ids, codes, coeffs = ids[first[live]], codes[first[live]], coeffs[live]
+        chain = cls.__new__(cls)
+        vars(chain).update(k=k, n=n, points=points, rank=rank, ids=ids, codes=codes,
+                           coeffs=coeffs, _terms=None)
+        return chain
+
+    @property
+    def terms(self) -> Dict[SimplexDescriptor, int]:
+        if self._terms is None:
+            used = np.flatnonzero(np.bincount(self.ids.ravel(), minlength=len(self.points)))
+            pts = dict(zip(used.tolist(), [HPoint(self.n, tuple(w))
+                                           for w in self.points[used].tolist()]))
+            self._terms = {
+                SimplexDescriptor(_BUILDERS[code], tuple(pts[i] for i in row), self.n): coeff
+                for row, code, coeff in zip(self.ids.tolist(), self.codes.tolist(),
+                                            self.coeffs.tolist())}
+        return self._terms
+
+    def sort_order(self) -> np.ndarray:
+        """Term indices sorted by builder name, then vertex coordinates."""
+        return _term_order(self.rank, self.ids, self.codes)[0]
 
     def items_sorted(self) -> List[Tuple[SimplexDescriptor, int]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        items = list(self.terms.items())
+        return [items[i] for i in self.sort_order().tolist()]
 
     def coeff(self, desc: SimplexDescriptor) -> int:
         return self.terms.get(desc, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Chain) and self.k == other.k
-                and self.n == other.n and self.terms == other.terms)
+        return (isinstance(other, Chain) and self.k == other.k and self.n == other.n
+                and len(self) == len(other) and (self - other).is_zero())
 
     def __add__(self, other: "Chain") -> "Chain":
         if self.k != other.k:
             raise ValueError("chain degree mismatch")
         if self.n != other.n:
             raise ValueError("group index mismatch")
-        terms = dict(self.terms)
-        for desc, coeff in other.terms.items():
-            terms[desc] = terms.get(desc, 0) + coeff
-        return Chain(self.k, self.n, terms)
+        shared = self.points is other.points
+        points = self.points if shared else np.concatenate([self.points, other.points])
+        return Chain._of(self.k, self.n, points, self.rank if shared else _value_rank(points),
+                         np.concatenate([self.ids, other.ids + (0 if shared else len(self.points))]),
+                         np.concatenate([self.codes, other.codes]),
+                         np.concatenate([self.coeffs, other.coeffs]))  # object if either is
 
     def __neg__(self) -> "Chain":
         return self.scale(-1)
@@ -492,7 +559,9 @@ class Chain:
     def scale(self, c: int) -> "Chain":
         if type(c) is not int:
             raise ValueError("chain coefficients must be integers")
-        return Chain(self.k, self.n, {d: c * v for d, v in self.terms.items()})
+        keep = slice(None) if c else slice(0)
+        return Chain._of(self.k, self.n, self.points, self.rank, self.ids[keep],
+                         self.codes[keep], _ints(self.coeffs[keep], abs(c)) * c, merge=False)
 
 
 def simplex_chain(desc: SimplexDescriptor, coeff: int = 1) -> Chain:
@@ -500,20 +569,19 @@ def simplex_chain(desc: SimplexDescriptor, coeff: int = 1) -> Chain:
 
 
 def boundary(chain: Chain) -> Chain:
-    """Combinatorial boundary: sum of (-1)^i vertex-dropped descriptors.
+    """Combinatorial boundary: sum of (-1)^i vertex-dropped terms.
 
-    The boundary of a 0-chain is the empty chain with the degree -1
-    sentinel, and taking it again stays empty.
+    The k+1 faces of every term, term by term, are merged in one sort of
+    their integer keys.  The boundary of a 0-chain is the empty chain with
+    the degree -1 sentinel, and taking it again stays empty.
     """
-    if chain.k <= 0:
+    k = chain.k
+    if k <= 0:
         return Chain(-1, chain.n)
-    out: Dict[SimplexDescriptor, int] = {}
-    for desc, coeff in chain.terms.items():
-        verts, builder = desc.vertices, desc.builder
-        for i in range(len(verts)):
-            face = SimplexDescriptor(builder, verts[:i] + verts[i + 1:], chain.n)
-            out[face] = out.get(face, 0) + (coeff if i % 2 == 0 else -coeff)
-    return Chain(chain.k - 1, chain.n, out)
+    keep = np.array([[j for j in range(k + 1) if j != i] for i in range(k + 1)])
+    return Chain._of(k - 1, chain.n, chain.points, chain.rank,
+                     chain.ids[:, keep].reshape(-1, k), np.repeat(chain.codes, k + 1),
+                     (chain.coeffs[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)).ravel())
 
 
 # ============================================================
@@ -521,93 +589,60 @@ def boundary(chain: Chain) -> Chain:
 # ============================================================
 
 
-_encode_scalar = json.JSONEncoder().encode
-
-
-def _indented(obj, indent: str) -> str:
-    """json.dumps(obj, indent=2) as it reads nested at `indent`."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if (kind is list or kind is tuple) and obj:
-        try:
-            body = (",\n" + inner).join(map(float.__repr__, obj))
-        except TypeError:  # an item that is not a float
-            body = None
-        # json writes a finite float as float.__repr__ does; only nan and
-        # inf have an "n" in that spelling, and json writes NaN, Infinity
-        if body is None or "n" in body:
-            body = (",\n" + inner).join([_indented(item, inner) for item in obj])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if kind is dict and obj and all(type(key) is str for key in obj):
-        body = (",\n" + inner).join([encode_basestring_ascii(key) + ": " + _indented(value, inner)
-                                     for key, value in obj.items()])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple, dict)):
-        # empty, a subclass, or keys json converts itself; JSON text has no
-        # raw newline inside a string, so each line shifts to the depth
-        return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
-    return _encode_scalar(obj)
+def _terms_text(chain: Chain) -> str:
+    """chain_to_json(chain)["terms"] as json_text writes it one level deep,
+    formatted from the arrays in blocks of terms; each vertex row used is
+    spelled once, by float.__repr__ as json spells it."""
+    if not len(chain):
+        return "[]"
+    vertex = "        [\n" + ",\n".join(["          %s"] * (2 * chain.n + 1)) + "\n        ]"
+    term = ('    {\n      "coeff": %d,\n      "builder": "%s",\n      "vertices": [\n'
+            + ",\n".join([vertex] * (chain.k + 1)) + "\n      ]\n    },\n")
+    names = np.array([b.value for b in _BUILDERS], dtype=object)
+    used, row = np.unique(chain.ids, return_inverse=True)
+    spelled = np.array(list(map(float.__repr__, chain.points[used].ravel().tolist())),
+                       dtype=object).reshape(len(used), -1)[row.reshape(chain.ids.shape)]
+    order, parts = chain.sort_order(), []
+    for sel in np.split(order, range(4096, len(order), 4096)):
+        cells = np.empty((len(sel), 2 + spelled[0].size), dtype=object)
+        cells[:, 0] = chain.coeffs[sel]  # an object array holds Python ints
+        cells[:, 1] = names[chain.codes[sel]]
+        cells[:, 2:] = spelled[sel].reshape(len(sel), -1)
+        parts.append((term * len(sel)) % tuple(cells.ravel().tolist()))
+    return "[\n" + "".join(parts)[:-2] + "\n  ]"
 
 
 def json_text(doc) -> str:
-    """json.dumps(doc, indent=2) plus a newline, byte for byte.
+    """json.dumps(doc, indent=2) plus a newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
-    Built from joined strings rather than json's pure-Python indenting
-    encoder, which spends most of its time on the coordinate lists of
-    chain documents.
-    """
-    return _indented(doc, "") + "\n"
+
+def chain_text(chain: Chain, extra: Optional[dict] = None) -> str:
+    """json_text(chain_to_json(chain, extra)), byte for byte, with the terms
+    written from the arrays rather than by json's Python encoder."""
+    doc = {"k": chain.k, "n": chain.n, "terms": chain, **(extra or {})}
+    if not all(type(key) is str for key in doc):  # keys json converts itself
+        return json_text(chain_to_json(chain, extra))
+    # JSON text has no raw newline inside a string, so each line shifts a level
+    return "{\n  " + ",\n  ".join([json.dumps(key) + ": " + (
+        _terms_text(chain) if value is chain else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in doc.items()]) + "\n}\n"
 
 
 def chain_to_json(chain: Chain, extra: Optional[dict] = None) -> dict:
-    doc = {
-        "k": chain.k,
-        "n": chain.n,
-        "terms": [
-            {
-                "coeff": coeff,
-                "builder": desc.builder.value,
-                "vertices": [list(v.w) for v in desc.vertices],
-            }
-            for desc, coeff in chain.items_sorted()
-        ],
-    }
-    if extra:
-        doc.update(extra)
+    order = chain.sort_order()
+    doc = {"k": chain.k, "n": chain.n, "terms": [
+        {"coeff": coeff, "builder": _BUILDERS[code].value, "vertices": vertices}
+        for coeff, code, vertices in zip(chain.coeffs[order].tolist(), chain.codes[order].tolist(),
+                                         chain.points[chain.ids[order]].tolist())]}
+    doc.update(extra or {})
     return doc
 
 
-def chain_from_json(doc: dict) -> Chain:
-    """Parse a chain document, coercing nothing: k, n and each coeff must be
-    ints, terms a list, each coordinate a float or an int in float range, and
-    each term k+1 vertices.  A ValueError names the term index of a bad term."""
-    k, n, doc_terms = doc["k"], doc["n"], doc["terms"]
-    for name, value, low in (("k", k, -1), ("n", n, 1)):
-        if type(value) is not int:  # bool is an int subclass; JSON would write true
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:  # k = -1 is the boundary of a 0-chain
-            raise ValueError(f"{name} must be at least {low}, got {value}")
-    if type(doc_terms) is not list:
-        raise ValueError(f"terms must be a list, got {type(doc_terms).__name__}")
-    terms: Dict[SimplexDescriptor, int] = {}
-    # Terms of a chain share most of their vertices, so equal coordinates
-    # become one HPoint.  Coordinates with a zero are not shared: 0.0 ==
-    # -0.0, and each point keeps the sign it was written with.
-    points: Dict[Tuple[float, ...], HPoint] = {}
-
-    def point(coords) -> HPoint:
-        w = tuple(map(float, coords))
-        got = points.get(w)
-        if got is None:
-            got = HPoint(n, w)
-            if 0.0 not in w:
-                points[w] = got
-        return got
-
+def _read_terms(doc_terms: list, k: int, n: int):
+    """Coefficients, builder codes and vertex coordinates of the terms, read
+    one term at a time; the first bad term raises, naming its index."""
+    coeffs, codes, rows = [], [], []
     for index, term in enumerate(doc_terms):
         coeff = term["coeff"]
         if type(coeff) is not int:
@@ -622,7 +657,50 @@ def chain_from_json(doc: dict) -> Chain:
                 if type(c) is not float and (type(c) is not int or abs(c) > sys.float_info.max):
                     raise ValueError(f"term {index}: coordinates must be numbers in the "
                                      f"float range, got {c!r}")
-        verts = tuple(point(v) for v in vertices)
-        desc = SimplexDescriptor(Builder(term["builder"]), verts, n)
-        terms[desc] = terms.get(desc, 0) + coeff
-    return Chain(k, n, terms)
+        rows += [HPoint(n, tuple(map(float, coords))).w for coords in vertices]
+        codes.append(_CODE[Builder(term["builder"]).value])
+        if k < 0:
+            raise ValueError("descriptor needs at least one vertex")
+        coeffs.append(coeff)
+    return coeffs, codes, rows
+
+
+def chain_from_json(doc: dict) -> Chain:
+    """Parse a chain document, coercing nothing: k, n and each coeff must be
+    ints, terms a list of at most MAX_TERMS, each coordinate a float or an
+    int in float range, and each term k+1 vertices.  A ValueError names the
+    term index of a bad term."""
+    k, n, doc_terms = doc["k"], doc["n"], doc["terms"]
+    for name, value, low in (("k", k, -1), ("n", n, 1)):
+        if type(value) is not int:  # bool is an int subclass; JSON would write true
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:  # k = -1 is the boundary of a 0-chain
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    if type(doc_terms) is not list:
+        raise ValueError(f"terms must be a list, got {type(doc_terms).__name__}")
+    if len(doc_terms) > MAX_TERMS:
+        raise ValueError(f"the chain has {len(doc_terms)} terms; at most {MAX_TERMS} are read")
+    points = None
+    try:  # all terms in one array if every one is plain; else one at a time
+        coeffs = [term["coeff"] for term in doc_terms]
+        codes = [_CODE[term["builder"]] for term in doc_terms]
+        vertices = [term["vertices"] for term in doc_terms]
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(vertices))
+        if set(map(type, coeffs)) <= {int} and set(map(type, flat)) <= {float}:
+            points = np.array(vertices, dtype=float)
+            if points.shape != (len(doc_terms), k + 1, 2 * n + 1) or not np.isfinite(points).all():
+                points = None
+    except (KeyError, TypeError, ValueError):
+        pass
+    if points is None:
+        coeffs, codes, points = _read_terms(doc_terms, k, n)
+    rows = np.asarray(points, dtype=float).reshape(-1, 2 * n + 1)
+    ids = rank = _value_rank(rows)
+    if np.signbit(rows[rows == 0.0]).any():  # 0.0 and -0.0: each row keeps its spelling
+        points, ids = rows, np.arange(len(rows))
+    else:  # equal values are equal bits, so each vertex is one row of the table
+        points = np.empty((int(rank.max(initial=-1)) + 1, 2 * n + 1))
+        points[rank] = rows
+        rank = np.arange(len(points))
+    return Chain._of(k, n, points, rank, ids.reshape(len(coeffs), k + 1),
+                     np.array(codes, dtype=np.int8), _ints(coeffs))

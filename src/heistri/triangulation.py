@@ -11,33 +11,28 @@ every cube and are computed once per k.
 
 Exact cancellation is the load-bearing property: both the interior faces
 of one cube and the shared faces of adjacent grid cubes must cancel in
-the boundary chain.  Cancellation happens at descriptor level (builder
-tag + vertex bits), so corner coordinates are always computed as
-eps * (integer base + bit) with the integer addition first; adjacent
-cubes then produce bit-identical vertex tuples and no tolerance is ever
-needed.
+the boundary chain.  Chains cancel terms whose builders and vertex
+coordinates agree exactly, so a grid's vertex table holds each integer
+lattice point once, at eps * (integer base + bit) with the integer
+addition first; adjacent cubes then share vertex rows and no tolerance
+is ever needed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import HPoint
-from .grid import Cube, grid_cover
+from .grid import Cube, _box
 from .horizontal import build_map
-from .simplex import (
-    Builder,
-    Chain,
-    SimplexDescriptor,
-    chain_to_json,
-    json_text,
-)
+from .simplex import _CODE, MAX_TERMS, Builder, Chain, _value_rank, chain_text
 
 __all__ = [
     "IncreasingMap",
@@ -77,19 +72,21 @@ class IncreasingMap:
 
 
 @functools.lru_cache(maxsize=None)
-def _kuhn_maps(k: int) -> Tuple[Tuple[IncreasingMap, int], ...]:
-    """The k! (increasing map, orientation sign) pairs, in increasing_maps order."""
+def _kuhn_maps(k: int) -> Tuple[Tuple[IncreasingMap, ...], np.ndarray, np.ndarray]:
+    """The k! increasing maps in increasing_maps order, their corner bits,
+    (k!, k+1, k), and their orientation signs."""
     if k < 0:
         raise ValueError("dimension must be >= 0")
-    maps = [IncreasingMap(k, tuple(tuple(int(axis in perm[:i]) for axis in range(k))
-                                   for i in range(k + 1)))
-            for perm in itertools.permutations(range(k))]
-    return tuple((m, orientation_sign(m)) for m in sorted(maps, key=lambda m: m.seq))
+    maps = sorted((IncreasingMap(k, tuple(tuple(int(axis in perm[:i]) for axis in range(k))
+                                          for i in range(k + 1)))
+                   for perm in itertools.permutations(range(k))), key=lambda m: m.seq)
+    return (tuple(maps), np.array([m.seq for m in maps]).reshape(len(maps), k + 1, k),
+            np.array([orientation_sign(m) for m in maps]))
 
 
 def increasing_maps(k: int) -> List[IncreasingMap]:
     """All k! maximal chains, sorted lexicographically by their sequences."""
-    return [m for m, _ in _kuhn_maps(k)]
+    return list(_kuhn_maps(k)[0])
 
 
 def orientation_sign(s: IncreasingMap) -> int:
@@ -166,50 +163,61 @@ class TriangulationChain:
     builder: Builder
 
 
-def _kuhn_chain(k: int, n: int, builder: Builder, cubes: Iterable[Dict[Bits, HPoint]]) -> Chain:
-    """The sum of the k! signed simplexes of each cube (corner bits -> point)."""
+def _kuhn_chain(k: int, n: int, builder: Builder, points: np.ndarray, bases: np.ndarray,
+                strides: np.ndarray) -> Chain:
+    """The sum of the k! signed simplexes of each cube; the corner with bits
+    b of the cube at `bases[c]` is row bases[c] + b @ strides of points."""
     if builder not in (Builder.AFFINE, Builder.STRAIGHT, Builder.HYBRID):
         raise ValueError(f"builder {builder.value} is not a triangulation builder")
     if builder is Builder.HYBRID and k > 2 * n + 1:
         raise ValueError("dimension exceeds 2n+1")
-    terms: Dict[SimplexDescriptor, int] = {}
-    for point in cubes:
-        for s, sign in _kuhn_maps(k):
-            desc = SimplexDescriptor(builder, tuple(point[bits] for bits in s.seq), n)
-            terms[desc] = terms.get(desc, 0) + sign
-    return Chain(k, n, terms)
+    _, bits, signs = _kuhn_maps(k)
+    ids = (bases[:, None, None] + (bits @ strides)[None]).reshape(-1, k + 1)
+    # terms from different cubes differ, unless eps * v rounds two lattice
+    # values or two corners together; the merge covers those cases
+    return Chain._of(k, n, points, _value_rank(points), ids,
+                     np.full(len(ids), _CODE[builder.value], np.int8), np.tile(signs, len(bases)))
 
 
 def triangulate_cube(corners: CornerAssignment, builder: Builder) -> TriangulationChain:
     """The signed chain of k! simplexes cutting the corner cube."""
-    builder = Builder(builder)
-    chain = _kuhn_chain(corners.k, corners.n, builder, [dict(corners.corners)])
-    return TriangulationChain(chain, {"kind": "cube", "k": corners.k}, builder)
+    builder, k = Builder(builder), corners.k
+    points = np.array([p.w for _, p in corners.corners]).reshape(2 ** k, -1)
+    chain = _kuhn_chain(k, corners.n, builder, points, np.zeros(1, np.int64),
+                        2 ** np.arange(k - 1, -1, -1))
+    return TriangulationChain(chain, {"kind": "cube", "k": k}, builder)
 
 
 def triangulate_region(n: int, eps: float, lo: Sequence[int], hi: Sequence[int],
                        builder: Builder) -> TriangulationChain:
     """Sum of cube triangulations over the integer box [lo, hi).
 
-    Each lattice point becomes one HPoint, eps * (integer sum) as in
-    Cube.corner, shared by every cube around it, so shared faces carry
-    identical vertices and cancel exactly in the boundary.  All terms go
-    into one dict and a single Chain, so the merge is linear in the number
-    of terms and does not depend on the order of the cubes.
+    The vertex table is the lattice of the box, eps * (integer) per axis as
+    in Cube.corner, numbered mixed-radix with the first axis most
+    significant; every cube around a lattice point uses its one row, so
+    shared faces carry identical vertices and cancel exactly in the
+    boundary.  Terms come cube by cube in grid_cover order.  A box of more
+    than MAX_TERMS terms, cubes * (2n+1)!, is refused before anything is built.
     """
     builder = Builder(builder)
-    cubes = grid_cover(n, eps, lo, hi)
-    offsets = list(itertools.product((0, 1), repeat=2 * n + 1))
-
-    @functools.lru_cache(maxsize=None)  # one HPoint per lattice point
-    def point(key: Tuple[int, ...]) -> HPoint:
-        return HPoint(n, tuple(eps * v for v in key))
-
-    chain = _kuhn_chain(2 * n + 1, n, builder, (
-        {bits: point(tuple(map(operator.add, cube.base, bits))) for bits in offsets}
-        for cube in cubes))
-    prov = {"kind": "region", "eps": eps, "lo": [int(v) for v in lo],
-            "hi": [int(v) for v in hi], "cubes": len(cubes)}
+    d = 2 * n + 1
+    lo, hi = _box(n, lo, hi)
+    Cube(n, lo, eps)  # checks n and eps as grid_cover's cubes do
+    sides = [h - l for l, h in zip(lo, hi)]
+    cubes = math.prod(sides)
+    if cubes * math.factorial(d) > MAX_TERMS:
+        raise ValueError(f"the box would have {cubes * math.factorial(d)} terms "
+                         f"({cubes} cubes); a chain holds at most {MAX_TERMS}")
+    axes = [[eps * v for v in range(l, h + 1)] if cubes else [] for l, h in zip(lo, hi)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    if not np.isfinite(points).all():
+        raise ValueError("coordinates must be finite")
+    strides = np.array([math.prod(s + 1 for s in sides[a + 1:]) for a in range(d)])
+    bases = np.zeros(1, np.int64)
+    for side, stride in zip(sides, strides):
+        bases = (bases[:, None] + np.arange(side) * stride).ravel()
+    chain = _kuhn_chain(d, n, builder, points, bases, strides)
+    prov = {"kind": "region", "eps": eps, "lo": list(lo), "hi": list(hi), "cubes": cubes}
     return TriangulationChain(chain, prov, builder)
 
 
@@ -254,7 +262,7 @@ def export_mesh(t: Union[TriangulationChain, Chain], format: str,
     if fmt == "json":
         extra = ({"provenance": t.provenance, "builder": t.builder.value}
                  if isinstance(t, TriangulationChain) else None)
-        return json_text(chain_to_json(chain, extra)).encode()
+        return chain_text(chain, extra).encode()
 
     if chain.n != 1:
         if fmt == "obj":
@@ -269,16 +277,25 @@ def export_mesh(t: Union[TriangulationChain, Chain], format: str,
     if fmt not in ("obj", "vtk"):
         raise ValueError(f"unknown format {format!r}")
 
-    k = chain.k
-    faces = {}
-    items = chain.items_sorted()
-    images = [build_map(desc, faces).images for desc, _ in items]
-    count = samples_per_edge ** 2 * sum(abs(c) * len(m) for (_, c), m in zip(items, images))
+    k, order = chain.k, chain.sort_order()
+    # an affine or straight map is one cell, its vertex tuple; the other
+    # builders' maps are built, sharing one face cache
+    built = ~np.isin(chain.codes[order], [_CODE["affine"], _CODE["straight"]])
+    descs, faces = list(chain.terms) if built.any() else [], {}
+    maps = [build_map(descs[i], faces).images for i in order[built].tolist()]
+    sizes = np.ones(len(order), np.int64)
+    sizes[built] = [len(m) for m in maps]
+    coeffs = chain.coeffs[order]
+    count = samples_per_edge ** 2 * sum(map(operator.mul, np.abs(coeffs).tolist(), sizes.tolist()))
     if count > _MAX_MESH_CELLS:
         raise ValueError(f"the mesh would have {count} cells; export writes at most "
                          f"{_MAX_MESH_CELLS}")
-    cells = np.concatenate(images) if images else np.empty((0, k + 1, 3))
-    coeffs = np.repeat([c for _, c in items], [len(m) for m in images]).astype(np.int64)
+    at = np.cumsum(sizes) - sizes
+    cells = np.empty((int(sizes.sum()), k + 1, 3))
+    cells[at[~built]] = chain.points[chain.ids[order[~built]]]
+    for start, m in zip(at[built].tolist(), maps):
+        cells[start:start + len(m)] = m
+    coeffs = np.repeat(coeffs, sizes).astype(np.int64)
     if samples_per_edge > 1 and count:  # an empty mesh builds no s^2 lattice
         bary, tris = _triangle_lattice(samples_per_edge)
         b = np.array(bary)[:, :, None]
@@ -288,21 +305,25 @@ def export_mesh(t: Union[TriangulationChain, Chain], format: str,
         cells = pts[:, np.array(tris)].reshape(-1, 3, 3)
         coeffs = np.repeat(coeffs, len(tris))
 
-    index: Dict[Tuple[float, ...], int] = {}
-    ids = np.array([index.setdefault(p, len(index))
-                    for p in map(tuple, cells.reshape(-1, 3).tolist())],
-                   dtype=np.int64).reshape(-1, k + 1)
+    # vertices numbered in order of first appearance, spelled as first seen
+    flat = cells.reshape(-1, 3)
+    rank = _value_rank(flat)
+    first = np.unique(rank, return_index=True)[1]  # where each vertex first appears
+    ids = np.argsort(np.argsort(first))[rank].reshape(-1, k + 1)
     flip = coeffs < 0
     ids[flip, :2] = ids[flip, 1::-1]
     ids = np.repeat(ids, np.abs(coeffs), axis=0)
-    verts = [f"{p[0]!r} {p[1]!r} {p[2]!r}" for p in index]
+    verts = flat[np.sort(first)]
     if fmt == "obj":
-        lines = [*("v " + v for v in verts),
-                 *("f " + " ".join(map(str, row)) for row in (ids + 1).tolist())]
-    else:
-        lines = ["# vtk DataFile Version 3.0", "heistri mesh", "ASCII",
-                 "DATASET UNSTRUCTURED_GRID", f"POINTS {len(verts)} double", *verts,
-                 f"CELLS {len(ids)} {len(ids) * (k + 2)}",
-                 *(f"{k + 1} " + " ".join(map(str, row)) for row in ids.tolist()),
-                 f"CELL_TYPES {len(ids)}", *[str(5 if k == 2 else 10)] * len(ids)]
-    return ("\n".join(lines) + "\n").encode()
+        return (_lines("v %r %r %r\n", verts) + _lines("f %d %d %d\n", ids + 1) or "\n").encode()
+    return ("# vtk DataFile Version 3.0\nheistri mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            f"POINTS {len(verts)} double\n" + _lines("%r %r %r\n", verts)
+            + f"CELLS {len(ids)} {len(ids) * (k + 2)}\n"
+            + _lines(f"{k + 1}" + " %d" * (k + 1) + "\n", ids)
+            + f"CELL_TYPES {len(ids)}\n" + f"{5 if k == 2 else 10}\n" * len(ids)).encode()
+
+
+def _lines(template: str, rows: np.ndarray) -> str:
+    """template % row for each row, formatted in blocks of rows."""
+    return "".join((template * len(block)) % tuple(block.ravel().tolist())
+                   for block in np.split(rows, range(65536, len(rows), 65536)))

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from heistri import (
     build_map,
     chain_from_json,
 )
-from heistri import cli
+from heistri import cli, simplex
 from heistri.cli import main as cli_main
 
 
@@ -145,6 +146,18 @@ class TestTriangulate:
         assert json.loads(spaced)["provenance"]["base"] == [-2, 0, 0]
         _, joined, _ = run_cli(capsys, "triangulate", "--cube=-2,0,0")
         assert spaced == joined
+
+    @pytest.mark.parametrize("argv, terms", [
+        (("--box", "0,0,0", "400,400,400"), 400 ** 3 * 6),
+        (("--n", "2", "--box", "0,0,0,0,0", "9,9,9,9,9"), 9 ** 5 * 120),
+    ])
+    def test_oversize_box_refused_before_it_is_built(self, capsys, argv, terms):
+        # never run against code without the bound: it builds until memory runs out
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "triangulate", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert f"{terms} terms" in err and str(2 ** 22) in err
 
     def test_unknown_option_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +301,28 @@ class TestBoundary:
         assert rc == 2
         assert out == ""
         assert "malformed JSON" in err
+
+    @pytest.mark.parametrize("command", ["boundary", "check", "export"])
+    def test_deeply_nested_json_is_refused(self, capsys, monkeypatch, tmp_path, command):
+        # json raises RecursionError here; for check, exit 1 would read as a failed verdict
+        text = "[" * 200000 + "]" * 200000
+        (tmp_path / "deep.json").write_text(text)
+        extra = ["--format", "obj"] if command == "export" else []
+        for source in ("-", str(tmp_path / "deep.json")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            rc, out, err = run_cli(capsys, command, source, *extra)
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: malformed JSON input") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["boundary", "check", "export"])
+    def test_term_count_bound(self, capsys, monkeypatch, command):
+        doc = run_json(capsys, "triangulate", "--cube", "0,0,0")
+        monkeypatch.setattr(simplex, "MAX_TERMS", 5)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        extra = ["--format", "vtk"] if command == "export" else []
+        rc, out, err = run_cli(capsys, command, "-", *extra)
+        assert (rc, out) == (2, "")
+        assert "6 terms" in err and "at most 5" in err
 
     def test_missing_file(self, capsys, tmp_path):
         rc, out, err = run_cli(capsys, "boundary", str(tmp_path / "nope.json"))

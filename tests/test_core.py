@@ -50,6 +50,33 @@ def close(a, b, tol=1e-12):
 
 
 # ============================================================
+# coordinates
+# ============================================================
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("cls", [HPoint, LieVector])
+    @pytest.mark.parametrize("bad", ["1", True, False, np.bool_(True), None, "2e0", b"1", 1j])
+    def test_non_numbers_are_refused(self, cls, bad):
+        with pytest.raises(ValueError, match="coordinates must be ints or floats"):
+            cls(1, (0.0, bad, 1.0))
+
+    @pytest.mark.parametrize("cls", [HPoint, LieVector])
+    def test_ints_floats_and_numpy_numbers_are_read_as_floats(self, cls):
+        w = (1, 2.5, np.int64(-3), np.float32(0.5), np.float64(-0.0))
+        p = cls(2, w)
+        assert [type(c) for c in p.w] == [float] * 5
+        assert bits(p.w) == bits((1.0, 2.5, -3.0, 0.5, -0.0))
+        assert cls(1, np.array([1, 2, 3])).w == (1.0, 2.0, 3.0)
+
+    def test_count_and_finiteness_still_checked(self):
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            HPoint(1, (0.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            HPoint(1, (0.0, math.inf, 1.0))
+
+
+# ============================================================
 # product, inverse, translation
 # ============================================================
 

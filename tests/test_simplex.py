@@ -28,6 +28,7 @@ from heistri import (
     barycentric_vertex,
     boundary,
     chain_from_json,
+    chain_text,
     chain_to_json,
     consistency_points,
     dilate,
@@ -654,3 +655,124 @@ class TestChainJson:
         doc = chain_to_json(c)
         assert doc["terms"][0]["vertices"] == [[0.0, 0.0, 0.0]]
         assert doc["terms"][1]["vertices"] == [[1.0, 0.0, 0.0]]
+
+
+# ============================================================
+# array chains against a dict reference
+# ============================================================
+
+
+def ref_merge(items):
+    """The dict merge the array chain replaces: items (builder, vertex tuples,
+    coeff) are summed per key, the first spelling of a key kept and zeros
+    dropped, in order of first appearance."""
+    acc = {}
+    for builder, verts, coeff in items:
+        acc[builder, verts] = acc.get((builder, verts), 0) + coeff
+    return [(builder, verts, coeff) for (builder, verts), coeff in acc.items() if coeff]
+
+
+def ref_boundary(items):
+    return ref_merge([(builder, verts[:i] + verts[i + 1:], coeff if i % 2 == 0 else -coeff)
+                      for builder, verts, coeff in items for i in range(len(verts))])
+
+
+def ref_text(items, k, n):
+    """The chain document of the items, as json.dumps writes it."""
+    terms = [{"coeff": coeff, "builder": builder, "vertices": [list(v) for v in verts]}
+             for builder, verts, coeff in sorted(items, key=lambda item: item[:2])]
+    return json.dumps({"k": k, "n": n, "terms": terms}, indent=2) + "\n"
+
+
+def items_of(chain):
+    """A chain's terms in their stored order, each vertex as its coordinate tuple."""
+    return [(desc.builder.value, tuple(v.w for v in desc.vertices), coeff)
+            for desc, coeff in chain.terms.items()]
+
+
+def spelled(items):
+    """repr tells -0.0 from 0.0, so equal spellings mean equal bits."""
+    return repr(items)
+
+
+@st.composite
+def chain_docs(draw, k=None, n=None):
+    """Chain documents of degree -1..2 whose terms share vertices, spell zeros
+    either way, mix builders, and repeat terms so that coefficients add up,
+    sometimes to zero or beyond int64."""
+    n = draw(st.sampled_from((1, 2))) if n is None else n
+    k = draw(st.integers(-1, 2)) if k is None else k
+    value = st.sampled_from((0.0, -0.0, 1.0, -1.5, 0.25, 1e300, 5e-324))
+    pool = draw(st.lists(st.tuples(*[value] * (2 * n + 1)), min_size=1, max_size=4))
+    # the same point with each zero spelled 0.0 or -0.0
+    vertex = st.sampled_from(pool).flatmap(lambda w: st.tuples(
+        *[st.sampled_from((0.0, -0.0)) if c == 0.0 else st.just(c) for c in w]))
+    coeff = st.integers(-3, 3) | st.sampled_from((2 ** 62, -(2 ** 63), 10 ** 30))
+    term = st.fixed_dictionaries({
+        "coeff": coeff, "builder": st.sampled_from([b.value for b in Builder]),
+        "vertices": st.lists(vertex.map(list), min_size=k + 1, max_size=k + 1)})
+    terms = draw(st.lists(term, max_size=8)) if k >= 0 else []
+    if terms and draw(st.booleans()):
+        terms += draw(st.permutations(terms))[:3]  # repeated terms merge
+    return {"k": k, "n": n, "terms": terms}
+
+
+def doc_items(doc):
+    return [(t["builder"], tuple(tuple(v) for v in t["vertices"]), t["coeff"])
+            for t in doc["terms"]]
+
+
+class TestChainArraysMatchDictReference:
+    @given(chain_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_read_merge_write_and_boundary(self, doc):
+        k, n = doc["k"], doc["n"]
+        chain = chain_from_json(doc)
+        want = ref_merge(doc_items(doc))
+        assert spelled(items_of(chain)) == spelled(want)
+        text = ref_text(want, k, n)
+        assert chain_text(chain) == json_text(chain_to_json(chain)) == text
+        assert json.loads(text) == chain_to_json(chain)
+        b = boundary(chain)
+        assert b.k == max(k - 1, -1)
+        assert spelled(items_of(b)) == spelled(ref_boundary(want) if k > 0 else [])
+        assert chain_text(b) == ref_text(ref_boundary(want) if k > 0 else [], b.k, n)
+        assert boundary(b).is_zero()
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sum_scale_and_equality(self, data):
+        first = data.draw(chain_docs())
+        second = data.draw(chain_docs(k=first["k"], n=first["n"]))
+        a, b = chain_from_json(first), chain_from_json(second)
+        items_a, items_b = ref_merge(doc_items(first)), ref_merge(doc_items(second))
+        assert spelled(items_of(a + b)) == spelled(ref_merge(items_a + items_b))
+        assert spelled(items_of(a - b)) == spelled(
+            ref_merge(items_a + [(bl, v, -c) for bl, v, c in items_b]))
+        c = data.draw(st.integers(-3, 3) | st.just(2 ** 40))
+        assert spelled(items_of(a.scale(c))) == spelled(
+            [(bl, v, c * x) for bl, v, x in items_a] if c else [])
+        # tuple keys compare 0.0 == -0.0, as the chain does
+        assert (a == b) == ({(bl, v): x for bl, v, x in items_a}
+                            == {(bl, v): x for bl, v, x in items_b})
+        assert a + b - b == a and (a - a).is_zero()
+        assert Chain(a.k, a.n, a.terms) == a
+        assert chain_text(Chain(a.k, a.n, a.terms)) == chain_text(a)
+
+    def test_zero_spelling_and_degree_limits(self):
+        doc = {"k": 1, "n": 1, "terms": [
+            {"coeff": 2, "builder": "straight", "vertices": [[0.0, -0.0, 1.0], [1.0, 0.0, 0.0]]},
+            {"coeff": -2, "builder": "straight", "vertices": [[-0.0, 0.0, 1.0], [1.0, -0.0, 0.0]]},
+            {"coeff": 1, "builder": "hybrid", "vertices": [[-0.0, 0.0, 1.0], [1.0, -0.0, 0.0]]},
+            {"coeff": 1, "builder": "affine", "vertices": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]},
+        ]}
+        chain = chain_from_json(doc)
+        assert spelled(items_of(chain)) == spelled(ref_merge(doc_items(doc)))
+        assert [t["builder"] for t in chain_to_json(chain)["terms"]] == ["affine", "hybrid"]
+        assert len(boundary(chain)) == 4 and boundary(boundary(chain)).k == -1
+        empty = chain_from_json({"k": -1, "n": 2, "terms": []})
+        assert empty == Chain(-1, 2) and boundary(empty).is_zero()
+        assert chain_text(empty) == json.dumps({"k": -1, "n": 2, "terms": []}, indent=2) + "\n"
+        point = chain_from_json({"k": 0, "n": 1, "terms": [
+            {"coeff": 3, "builder": "affine", "vertices": [[1.0, 2.0, 3.0]]}]})
+        assert boundary(point) == Chain(-1, 1) and len(point.scale(10 ** 30)) == 1

@@ -382,8 +382,11 @@ class TestTriangulateRegion:
         r = triangulate_region(n, eps, lo, hi, Builder.STRAIGHT)
         corners = {cube.corner(bits).w for cube in grid_cover(n, eps, lo, hi)
                    for bits in itertools.product((0, 1), repeat=2 * n + 1)}
-        vertices = {id(v): v.w for desc in r.chain.terms for v in desc.vertices}
-        assert sorted(vertices.values()) == sorted(corners)  # one object per point
+        rows = [tuple(p) for p in r.chain.points.tolist()]
+        assert len(rows) == len(set(rows))  # one vertex-table row per lattice point
+        assert sorted(rows) == sorted(corners)
+        used = {v.w for desc in r.chain.terms for v in desc.vertices}
+        assert used == corners
 
     def test_block_boundary_term_count(self):
         r = triangulate_region(1, 1.0, (0, 0, 0), (2, 2, 2), Builder.STRAIGHT)
