@@ -1,82 +1,11 @@
-"""Heisenberg group geometry: grids, PL simplexes, chains, triangulations."""
+"""Heisenberg group geometry: grids, PL simplexes, chains, triangulations.
 
-from .core import (
-    AffineScalarField,
-    HPoint,
-    LieVector,
-    dilate,
-    exp_map,
-    grad_h_affine,
-    horizontal_frame,
-    inv,
-    koranyi_dist,
-    koranyi_norm,
-    log_map,
-    mul,
-    mul_coords,
-    on_same_orbit,
-    origin,
-    point_to_json,
-    translate,
-    w_tilde,
-)
-from .grid import (
-    Cube,
-    Face,
-    Regularity,
-    RegularityReport,
-    Side,
-    Subface,
-    face_regularity,
-    faces,
-    grid_cover,
-    report_to_json,
-    subface_regularity,
-    subfaces,
-    wedge_horizontal,
-)
-from .horizontal import (
-    build_map,
-    cone_relation_residual,
-    cone_to_apex,
-    exp_center_of_gravity,
-    horizontal_path,
-    hybrid_simplex,
-    map_segments,
-    segment_is_horizontal,
-    segment_residual,
-    segment_residuals,
-)
-from .simplex import (
-    Barycentric,
-    Builder,
-    Chain,
-    PLMap,
-    SimplexDescriptor,
-    affine_simplex,
-    barycenter,
-    barycentric_vertex,
-    boundary,
-    chain_from_json,
-    chain_to_json,
-    consistency_points,
-    face_map,
-    map_consistency,
-    restrict_face,
-    sample_barycentric,
-    simplex_chain,
-    standard_simplex,
-    straight_simplex,
-)
-from .triangulation import (
-    CornerAssignment,
-    IncreasingMap,
-    TriangulationChain,
-    export_mesh,
-    increasing_maps,
-    orientation_sign,
-    triangulate_cube,
-    triangulate_region,
-)
+The package exports each module's __all__."""
+
+from .core import *
+from .grid import *
+from .horizontal import *
+from .simplex import *
+from .triangulation import *
 
 __version__ = "0.1.0"

@@ -73,20 +73,14 @@ def _parse_floats(text: str, expect: Optional[int], what: str) -> Tuple[float, .
         raise ValueError(f"{what} must contain decimals") from None
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, data) -> None:
+    """Write str or bytes to the file at path, or to stdout for "-"."""
+    binary = isinstance(data, bytes)
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_bytes(path: str, blob: bytes) -> None:
-    if path == "-":
-        sys.stdout.buffer.write(blob)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
+        return
+    with open(path, "wb" if binary else "w") as fh:
+        fh.write(data)
 
 
 def _read_json(path: str) -> dict:
@@ -119,14 +113,14 @@ def cmd_triangulate(args) -> int:
         hi = _parse_ints(args.box[1], dim, "--box upper corner")
     tc = triangulate_region(args.n, args.eps, lo, hi, builder)
     prov = {"kind": "cube", "eps": args.eps, "base": list(lo)} if args.cube else tc.provenance
-    _write_text(args.output, chain_text(tc.chain, {"provenance": prov, "builder": builder.value}))
+    _write(args.output, chain_text(tc.chain, {"provenance": prov, "builder": builder.value}))
     return 0
 
 
 def cmd_boundary(args) -> int:
     doc = _read_json(args.input)
     chain = chain_from_json(doc)
-    _write_text(args.output, chain_text(boundary(chain)))
+    _write(args.output, chain_text(boundary(chain)))
     return 0
 
 
@@ -137,7 +131,7 @@ def cmd_hpath(args) -> int:
     path = horizontal_path(p, q)
     chain = sum((simplex_chain(SimplexDescriptor(Builder.AFFINE, ab, args.n))
                  for ab in map_segments(path)), Chain(1, args.n))
-    _write_text(args.output, chain_text(chain, {
+    _write(args.output, chain_text(chain, {
         "kind": "path",
         "endpoints": [point_to_json(p), point_to_json(q)],
         "segments": path.meta["segments"],
@@ -159,7 +153,7 @@ def cmd_regularity(args) -> int:
         if args.subfaces:
             for sf in grid_mod.subfaces(face):
                 reports.append(grid_mod.report_to_json(grid_mod.subface_regularity(sf)))
-    _write_text(args.output, json_text(reports))
+    _write(args.output, json_text(reports))
     return 0
 
 
@@ -172,9 +166,9 @@ def cmd_simplex(args) -> int:
     if args.eval is not None:
         s = _parse_floats(args.eval, len(verts), "--eval")
         point = m.eval(Barycentric(m.k, s))
-        _write_text(args.output, json_text(point_to_json(point)))
+        _write(args.output, json_text(point_to_json(point)))
     else:
-        _write_text(args.output, chain_text(simplex_chain(desc)))
+        _write(args.output, chain_text(simplex_chain(desc)))
     return 0
 
 
@@ -182,7 +176,7 @@ def cmd_export(args) -> int:
     doc = _read_json(args.input)
     chain = chain_from_json(doc)
     blob = export_mesh(chain, args.format, args.samples)
-    _write_bytes(args.output, blob)
+    _write(args.output, blob)
     return 0
 
 
@@ -293,7 +287,7 @@ def cmd_check(args) -> int:
     ]
     passed = all(c["passed"] for c in checks)
     report = {"input": args.input, "passed": passed, "checks": checks}
-    _write_text(args.output, json_text(report))
+    _write(args.output, json_text(report))
     return 0 if passed else 1
 
 

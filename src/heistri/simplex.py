@@ -413,9 +413,10 @@ def restrict_face(m: PLMap, i: int) -> PLMap:
 # ============================================================
 
 
-# builder codes in Builder.value order, so sorting on the code sorts by name
+# builder codes in Builder.value order, so sorting on the code sorts by name;
+# a builder is looked up by its member or by its name
 _BUILDERS = tuple(sorted(Builder, key=lambda b: b.value))
-_CODE = {b.value: code for code, b in enumerate(_BUILDERS)}
+_CODE = {key: code for code, b in enumerate(_BUILDERS) for key in (b, b.value)}
 MAX_TERMS = 2 ** 22  # the most terms a chain is built or read with
 
 
@@ -442,18 +443,11 @@ def _value_rank(points: np.ndarray) -> np.ndarray:
 
 
 def _term_order(rank: np.ndarray, ids: np.ndarray, codes: np.ndarray):
-    """A stable sort of terms by builder code, then vertex ranks, and the sorted
-    integer keys, (T, columns); packed mixed-radix into one column if it fits."""
-    base = int(rank.max(initial=0)) + 1
-    if len(_BUILDERS) * base ** ids.shape[1] >= 2 ** 63:
-        keys = np.column_stack([codes, rank[ids]]).astype(np.int64)
-        order = np.lexsort(keys.T[::-1])
-        return order, keys[order]
-    key = codes.astype(np.int64)
-    for col in ids.T:
-        key = key * base + rank[col]
-    order = np.argsort(key, kind="stable")
-    return order, key[order][:, None]
+    """A stable sort of terms by builder code, then vertex ranks, and the
+    sorted integer keys, (T, k+2)."""
+    keys = np.column_stack([codes, rank[ids]]).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    return order, keys[order]
 
 
 class Chain:
@@ -508,9 +502,7 @@ class Chain:
     @property
     def terms(self) -> Dict[SimplexDescriptor, int]:
         if self._terms is None:
-            used = np.flatnonzero(np.bincount(self.ids.ravel(), minlength=len(self.points)))
-            pts = dict(zip(used.tolist(), [HPoint(self.n, tuple(w))
-                                           for w in self.points[used].tolist()]))
+            pts = [HPoint(self.n, tuple(w)) for w in self.points.tolist()]
             self._terms = {
                 SimplexDescriptor(_BUILDERS[code], tuple(pts[i] for i in row), self.n): coeff
                 for row, code, coeff in zip(self.ids.tolist(), self.codes.tolist(),
@@ -619,10 +611,11 @@ def json_text(doc) -> str:
 
 def chain_text(chain: Chain, extra: Optional[dict] = None) -> str:
     """json_text(chain_to_json(chain, extra)), byte for byte, with the terms
-    written from the arrays rather than by json's Python encoder."""
+    written from the arrays rather than by json's Python encoder; the keys
+    of extra must be strings."""
     doc = {"k": chain.k, "n": chain.n, "terms": chain, **(extra or {})}
-    if not all(type(key) is str for key in doc):  # keys json converts itself
-        return json_text(chain_to_json(chain, extra))
+    if any(type(key) is not str for key in doc):
+        raise ValueError("chain document keys must be strings")
     # JSON text has no raw newline inside a string, so each line shifts a level
     return "{\n  " + ",\n  ".join([json.dumps(key) + ": " + (
         _terms_text(chain) if value is chain else json.dumps(value, indent=2).replace("\n", "\n  "))
@@ -631,18 +624,15 @@ def chain_text(chain: Chain, extra: Optional[dict] = None) -> str:
 
 def chain_to_json(chain: Chain, extra: Optional[dict] = None) -> dict:
     order = chain.sort_order()
-    doc = {"k": chain.k, "n": chain.n, "terms": [
+    return {"k": chain.k, "n": chain.n, "terms": [
         {"coeff": coeff, "builder": _BUILDERS[code].value, "vertices": vertices}
         for coeff, code, vertices in zip(chain.coeffs[order].tolist(), chain.codes[order].tolist(),
-                                         chain.points[chain.ids[order]].tolist())]}
-    doc.update(extra or {})
-    return doc
+                                         chain.points[chain.ids[order]].tolist())], **(extra or {})}
 
 
-def _read_terms(doc_terms: list, k: int, n: int):
-    """Coefficients, builder codes and vertex coordinates of the terms, read
-    one term at a time; the first bad term raises, naming its index."""
-    coeffs, codes, rows = [], [], []
+def _check_terms(doc_terms: list, k: int, n: int) -> None:
+    """Check the terms one at a time; the first bad term raises, naming its
+    index."""
     for index, term in enumerate(doc_terms):
         coeff = term["coeff"]
         if type(coeff) is not int:
@@ -657,12 +647,11 @@ def _read_terms(doc_terms: list, k: int, n: int):
                 if type(c) is not float and (type(c) is not int or abs(c) > sys.float_info.max):
                     raise ValueError(f"term {index}: coordinates must be numbers in the "
                                      f"float range, got {c!r}")
-        rows += [HPoint(n, tuple(map(float, coords))).w for coords in vertices]
-        codes.append(_CODE[Builder(term["builder"]).value])
+        for coords in vertices:
+            HPoint(n, tuple(map(float, coords)))
+        Builder(term["builder"])
         if k < 0:
             raise ValueError("descriptor needs at least one vertex")
-        coeffs.append(coeff)
-    return coeffs, codes, rows
 
 
 def chain_from_json(doc: dict) -> Chain:
@@ -680,21 +669,21 @@ def chain_from_json(doc: dict) -> Chain:
         raise ValueError(f"terms must be a list, got {type(doc_terms).__name__}")
     if len(doc_terms) > MAX_TERMS:
         raise ValueError(f"the chain has {len(doc_terms)} terms; at most {MAX_TERMS} are read")
-    points = None
-    try:  # all terms in one array if every one is plain; else one at a time
+    shape = (len(doc_terms), k + 1, 2 * n + 1)
+    try:  # all terms in one array; a term that does not fit is found one at a time
         coeffs = [term["coeff"] for term in doc_terms]
         codes = [_CODE[term["builder"]] for term in doc_terms]
         vertices = [term["vertices"] for term in doc_terms]
         flat = itertools.chain.from_iterable(itertools.chain.from_iterable(vertices))
-        if set(map(type, coeffs)) <= {int} and set(map(type, flat)) <= {float}:
-            points = np.array(vertices, dtype=float)
-            if points.shape != (len(doc_terms), k + 1, 2 * n + 1) or not np.isfinite(points).all():
-                points = None
-    except (KeyError, TypeError, ValueError):
-        pass
-    if points is None:
-        coeffs, codes, points = _read_terms(doc_terms, k, n)
-    rows = np.asarray(points, dtype=float).reshape(-1, 2 * n + 1)
+        if not (set(map(type, coeffs)) <= {int} and set(map(type, flat)) <= {float, int}):
+            raise TypeError("not plain")
+        points = np.array(vertices, dtype=float) if doc_terms else np.empty(shape)
+        if points.shape != shape or not np.isfinite(points).all():
+            raise ValueError("not a k-chain")
+    except (KeyError, TypeError, ValueError, OverflowError):
+        _check_terms(doc_terms, k, n)
+        raise  # _check_terms refuses every document the array cannot hold
+    rows = points.reshape(-1, 2 * n + 1)
     ids = rank = _value_rank(rows)
     if np.signbit(rows[rows == 0.0]).any():  # 0.0 and -0.0: each row keeps its spelling
         points, ids = rows, np.arange(len(rows))

@@ -213,9 +213,7 @@ def triangulate_region(n: int, eps: float, lo: Sequence[int], hi: Sequence[int],
     if not np.isfinite(points).all():
         raise ValueError("coordinates must be finite")
     strides = np.array([math.prod(s + 1 for s in sides[a + 1:]) for a in range(d)])
-    bases = np.zeros(1, np.int64)
-    for side, stride in zip(sides, strides):
-        bases = (bases[:, None] + np.arange(side) * stride).ravel()
+    bases = np.indices(sides).reshape(d, -1).T @ strides
     chain = _kuhn_chain(d, n, builder, points, bases, strides)
     prov = {"kind": "region", "eps": eps, "lo": list(lo), "hi": list(hi), "cubes": cubes}
     return TriangulationChain(chain, prov, builder)

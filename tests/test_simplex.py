@@ -776,3 +776,34 @@ class TestChainArraysMatchDictReference:
         point = chain_from_json({"k": 0, "n": 1, "terms": [
             {"coeff": 3, "builder": "affine", "vertices": [[1.0, 2.0, 3.0]]}]})
         assert boundary(point) == Chain(-1, 1) and len(point.scale(10 ** 30)) == 1
+
+    @pytest.mark.parametrize("k, term, error, message", [
+        (1, {"coeff": 1, "builder": "affine", "vertices": [[0.0, 0.0, 0.0], [1.0, 2.0]]},
+         ValueError, "expected 3 coordinates for n=1, got 2"),
+        (1, {"coeff": 1, "builder": "affine", "vertices": [[0.0, 0.0, 0.0], [1.0, 2.0, 1e400]]},
+         ValueError, "coordinates must be finite"),
+        (1, {"coeff": 1, "builder": "bogus", "vertices": [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]},
+         ValueError, "'bogus' is not a valid Builder"),
+        (-1, {"coeff": 1, "builder": "affine", "vertices": []},
+         ValueError, "descriptor needs at least one vertex"),
+        (1, {"builder": "affine", "vertices": [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]},
+         KeyError, "coeff"),
+        # every coordinate's type is checked before any vertex's length
+        (1, {"coeff": 1, "builder": "affine", "vertices": [[0.0, 0.0], [True, 2.0, 2.0]]},
+         ValueError, "term 1: coordinates must be numbers in the float range, got True"),
+    ])
+    def test_refusals_name_the_first_bad_term(self, k, term, error, message):
+        good = {"coeff": 1, "builder": "affine", "vertices": [[0.0, 0.0, 0.0]] * (k + 1)}
+        with pytest.raises(error, match=message):
+            chain_from_json({"k": k, "n": 1, "terms": [good] * (k >= 0) + [term, good]})
+
+    def test_int_coordinates_and_builder_members_read_as_floats_and_names(self):
+        doc = {"k": 1, "n": 1, "terms": [
+            {"coeff": 2, "builder": "straight", "vertices": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]}]}
+        same = {"k": 1, "n": 1, "terms": [
+            {"coeff": 2, "builder": Builder.STRAIGHT, "vertices": [[0, 1, 2.0], [3, 4, 5]]}]}
+        assert chain_text(chain_from_json(same)) == chain_text(chain_from_json(doc))
+
+    def test_writer_refuses_keys_json_would_convert(self):
+        with pytest.raises(ValueError, match="keys must be strings"):
+            chain_text(Chain(0, 1), {1: "one"})
