@@ -65,8 +65,7 @@ def _coords(n: int, w) -> Tuple[float, ...]:
         raise ValueError(f"expected {2 * n + 1} coordinates for n={n}, got {len(w)}")
     if set(map(type, w)) - {float}:  # all plain floats is the common case
         for c in w:
-            if isinstance(c, (bool, np.bool_)) or not isinstance(c, (int, float, np.integer,
-                                                                     np.floating)):
+            if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
                 raise ValueError(f"coordinates must be ints or floats, got {c!r}")
         w = tuple(map(float, w))
     if not all(map(math.isfinite, w)):

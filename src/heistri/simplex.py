@@ -631,8 +631,7 @@ def chain_to_json(chain: Chain, extra: Optional[dict] = None) -> dict:
 
 
 def _check_terms(doc_terms: list, k: int, n: int) -> None:
-    """Check the terms one at a time; the first bad term raises, naming its
-    index."""
+    """Check the terms one at a time; the first bad term raises, naming it."""
     for index, term in enumerate(doc_terms):
         coeff = term["coeff"]
         if type(coeff) is not int:
