@@ -188,14 +188,21 @@ def grid_cover(n: int, eps: float, lo: Sequence[int], hi: Sequence[int]) -> List
 
 
 def faces(cube: Cube) -> List[Face]:
-    return [Face(cube, axis, side)
-            for axis in range(1, 2 * cube.n + 2) for side in (Side.LOW, Side.HIGH)]
+    out = []
+    for axis in range(1, 2 * cube.n + 2):
+        out.append(Face(cube, axis, Side.LOW))
+        out.append(Face(cube, axis, Side.HIGH))
+    return out
 
 
 def subfaces(face: Face) -> List[Subface]:
-    return [Subface(face.cube, (face.axis, axis), (face.side, side))
-            for axis in range(1, 2 * face.cube.n + 2) if axis != face.axis
-            for side in (Side.LOW, Side.HIGH)]
+    out = []
+    for axis in range(1, 2 * face.cube.n + 2):
+        if axis == face.axis:
+            continue
+        for side in (Side.LOW, Side.HIGH):
+            out.append(Subface(face.cube, (face.axis, axis), (face.side, side)))
+    return out
 
 
 # ============================================================
