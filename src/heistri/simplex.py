@@ -624,10 +624,12 @@ def chain_text(chain: Chain, extra: Optional[dict] = None) -> str:
 
 def chain_to_json(chain: Chain, extra: Optional[dict] = None) -> dict:
     order = chain.sort_order()
-    return {"k": chain.k, "n": chain.n, "terms": [
+    doc = {"k": chain.k, "n": chain.n, "terms": [
         {"coeff": coeff, "builder": _BUILDERS[code].value, "vertices": vertices}
         for coeff, code, vertices in zip(chain.coeffs[order].tolist(), chain.codes[order].tolist(),
-                                         chain.points[chain.ids[order]].tolist())], **(extra or {})}
+                                         chain.points[chain.ids[order]].tolist())]}
+    doc.update(extra or {})
+    return doc
 
 
 def _check_terms(doc_terms: list, k: int, n: int) -> None:
